@@ -55,6 +55,56 @@ sar::SubapertureImage load_subaperture(std::span<const cf32> src,
   return s;
 }
 
+/// Merge one parent output row (paper eq. 5) into `out_row`: sample both
+/// children of subaperture `subap` at every range bin. Child theta rows
+/// `pre1` / `pre2` come from their prefetched local copies `buf1` / `buf2`
+/// (-1: nothing prefetched); every other sample is read straight from the
+/// SDRAM level buffer `src`. Returns the number of those SDRAM misses, out
+/// of 2 * n_range fetches. A plain function, not inline code in the core
+/// coroutines, so the fetchers inline into the sampling loop.
+std::uint64_t merge_row(const sar::MergeLevelGeom& geom,
+                        const sar::FfbpOptions& algo, float r0f, float drf,
+                        float cr, float af_shift, std::span<const cf32> src,
+                        const LevelLayout& lc, std::size_t subap,
+                        const cf32* buf1, int pre1, const cf32* buf2,
+                        int pre2, std::span<sar::MergeGeom> geom_row,
+                        std::span<cf32> out_row) {
+  const std::size_t child1 = 2 * subap;
+  const std::size_t child2 = 2 * subap + 1;
+  std::uint64_t misses = 0;
+  const auto fetch1 = [&](int it, int ir) -> cf32 {
+    if (it == pre1) return buf1[static_cast<std::size_t>(ir)];
+    ++misses;
+    return src[lc.offset(child1, static_cast<std::size_t>(it),
+                         static_cast<std::size_t>(ir))];
+  };
+  const auto fetch2 = [&](int it, int ir) -> cf32 {
+    if (it == pre2) return buf2[static_cast<std::size_t>(ir)];
+    ++misses;
+    return src[lc.offset(child2, static_cast<std::size_t>(it),
+                         static_cast<std::size_t>(ir))];
+  };
+
+  // Per-pair autofocus compensation (0 when disabled; adding the resulting
+  // -0.0f keeps the plain path bit-identical).
+  const float shift_a = -0.5f * af_shift * drf;
+  const float shift_b = 0.5f * af_shift * drf;
+  const std::size_t n_range = out_row.size();
+  sar::kernels::merge_geometry_row(r0f, drf, 0, n_range, cr, geom.d2,
+                                   geom.inv_2d, geom_row.data());
+  for (std::size_t j = 0; j < n_range; ++j) {
+    const sar::MergeGeom& g = geom_row[j];
+    const cf32 v1 = sar::sample_child(geom.child, g.r1 + shift_a, g.theta1,
+                                      algo.interp, algo.phase_compensate,
+                                      fetch1);
+    const cf32 v2 = sar::sample_child(geom.child, g.r2 + shift_b, g.theta2,
+                                      algo.interp, algo.phase_compensate,
+                                      fetch2);
+    out_row[j] = v1 + v2;
+  }
+  return misses;
+}
+
 ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
                            const FfbpMapOptions& opt, SharedState& st,
                            int core_index) {
@@ -198,9 +248,6 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
       const float theta = geom.theta_of_row(p, ti);
       const float cr = 2.0f * geom.d * fastmath::poly_cos(theta);
 
-      const std::size_t child1 = 2 * subap;
-      const std::size_t child2 = 2 * subap + 1;
-
       // Obtain the prefetched child rows for this row.
       int pre1 = -1;
       int pre2 = -1;
@@ -234,41 +281,11 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
         pre2 = pending_pre2;
       }
 
-      std::uint64_t misses = 0;
-      const auto fetch1 = [&](int it, int ir) -> cf32 {
-        if (it == pre1) return buf1[static_cast<std::size_t>(ir)];
-        ++misses;
-        return src[lc.offset(child1, static_cast<std::size_t>(it),
-                             static_cast<std::size_t>(ir))];
-      };
-      const auto fetch2 = [&](int it, int ir) -> cf32 {
-        if (it == pre2) return buf2[static_cast<std::size_t>(ir)];
-        ++misses;
-        return src[lc.offset(child2, static_cast<std::size_t>(it),
-                             static_cast<std::size_t>(ir))];
-      };
-
-      // Per-pair autofocus compensation (0 when disabled; adding the
-      // resulting -0.0f keeps the plain path bit-identical).
       const float af_shift =
           opt.autofocus != nullptr ? st.shifts[subap] : 0.0f;
-      const float shift_a = -0.5f * af_shift * drf;
-      const float shift_b = 0.5f * af_shift * drf;
-
-      std::uint64_t fetches = 0;
-      sar::kernels::merge_geometry_row(r0f, drf, 0, n_range, cr, geom.d2,
-                                       geom.inv_2d, geom_row.data());
-      for (std::size_t j = 0; j < n_range; ++j) {
-        const sar::MergeGeom& g = geom_row[j];
-        const cf32 v1 = sar::sample_child(grid, g.r1 + shift_a, g.theta1,
-                                          algo.interp,
-                                          algo.phase_compensate, fetch1);
-        const cf32 v2 = sar::sample_child(grid, g.r2 + shift_b, g.theta2,
-                                          algo.interp,
-                                          algo.phase_compensate, fetch2);
-        out_row[j] = v1 + v2; // paper eq. 5
-        fetches += 2;
-      }
+      const std::uint64_t misses =
+          merge_row(geom, algo, r0f, drf, cr, af_shift, src, lc, subap, buf1,
+                    pre1, buf2, pre2, geom_row, out_row);
 
       co_await ctx.compute(static_cast<std::uint64_t>(n_range) * pixel_ops +
                            sar::kMergeRowOps);
@@ -278,7 +295,7 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
                              out_row.data(), row_bytes);
 
       auto& ls = st.stats[level - 1];
-      ls.local_hits += fetches - misses;
+      ls.local_hits += 2 * n_range - misses;
       ls.ext_misses += misses;
     }
 
@@ -320,7 +337,7 @@ std::vector<int> alive_cores(const fault::FaultInjector& inj, int n_cores,
 ///    arriving at the barrier, so the survivors' failure detection (which
 ///    uses the same oracle) has no false positives.
 ///  - All SDRAM payload traffic goes through the reliable_* wrappers:
-///    checksum-verified, retried with exponential backoff on injected
+///    verified by byte compare, retried with exponential backoff on injected
 ///    corruption / drops / bit flips.
 ///  - Each merge level runs as repartition passes over the SDRAM row_done
 ///    checkpoint flags: process your slice of the unfinished rows, cross
@@ -524,39 +541,12 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
           ctx.end_span();
         }
 
-        std::uint64_t misses = 0;
-        const auto fetch1 = [&](int it, int ir) -> cf32 {
-          if (it == pre1) return child_row1[static_cast<std::size_t>(ir)];
-          ++misses;
-          return src[lc.offset(child1, static_cast<std::size_t>(it),
-                               static_cast<std::size_t>(ir))];
-        };
-        const auto fetch2 = [&](int it, int ir) -> cf32 {
-          if (it == pre2) return child_row2[static_cast<std::size_t>(ir)];
-          ++misses;
-          return src[lc.offset(child2, static_cast<std::size_t>(it),
-                               static_cast<std::size_t>(ir))];
-        };
-
         const float af_shift =
             opt.autofocus != nullptr ? st.shifts[subap] : 0.0f;
-        const float shift_a = -0.5f * af_shift * drf;
-        const float shift_b = 0.5f * af_shift * drf;
-
-        std::uint64_t fetches = 0;
-        sar::kernels::merge_geometry_row(r0f, drf, 0, n_range, cr, geom.d2,
-                                         geom.inv_2d, geom_row.data());
-        for (std::size_t j = 0; j < n_range; ++j) {
-          const sar::MergeGeom& g = geom_row[j];
-          const cf32 v1 =
-              sar::sample_child(grid, g.r1 + shift_a, g.theta1, algo.interp,
-                                algo.phase_compensate, fetch1);
-          const cf32 v2 =
-              sar::sample_child(grid, g.r2 + shift_b, g.theta2, algo.interp,
-                                algo.phase_compensate, fetch2);
-          out_row[j] = v1 + v2;
-          fetches += 2;
-        }
+        const std::uint64_t misses = merge_row(
+            geom, algo, r0f, drf, cr, af_shift, src, lc, subap,
+            child_row1.data(), pre1, child_row2.data(), pre2, geom_row,
+            out_row);
 
         co_await ctx.compute(static_cast<std::uint64_t>(n_range) * pixel_ops +
                              sar::kMergeRowOps);
@@ -574,7 +564,7 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
         // Rows recomputed across passes double-count here; the prefetch
         // stats describe work performed, not distinct rows.
         auto& ls = st.stats[level - 1];
-        ls.local_hits += fetches - misses;
+        ls.local_hits += 2 * n_range - misses;
         ls.ext_misses += misses;
       }
 

@@ -1,6 +1,7 @@
 #include "fault/injector.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace esarp::fault {
 
@@ -80,7 +81,7 @@ TransferFault FaultInjector::on_transfer(int core, void* dst,
   if (r < plan_.dma_drop_rate + plan_.dma_corrupt_rate) {
     record(Site::kDmaCorrupt, core, n, cycle);
     // Flip a deterministic byte (and its neighbor for multi-byte payloads)
-    // so checksum verification always detects the corruption.
+    // so payload verification always detects the corruption.
     auto* p = static_cast<unsigned char*>(dst);
     const std::uint64_t at = mix64(key_of(plan_.seed + 1, Site::kDmaCorrupt,
                                           core, n)) %
@@ -164,13 +165,21 @@ void FaultInjector::count_detected(Site site) {
   }
 }
 
-void FaultInjector::count_recovered(Site site, std::uint64_t recovery_cycles) {
-  totals_.recovered++;
+void FaultInjector::count_recovered(std::uint64_t corrupt,
+                                    std::uint64_t dropped,
+                                    std::uint64_t recovery_cycles) {
+  totals_.recovered += corrupt + dropped;
   totals_.recovery_cycles += recovery_cycles;
   if (metrics_ != nullptr) {
-    metrics_->counter(telemetry::labeled("fault.recovered",
-                                         {{"site", to_string(site)}}))
-        .add();
+    for (const auto& [site, n] :
+         {std::pair{Site::kDmaCorrupt, corrupt},
+          std::pair{Site::kDmaDrop, dropped}}) {
+      if (n > 0) {
+        metrics_->counter(telemetry::labeled("fault.recovered",
+                                             {{"site", to_string(site)}}))
+            .add(n);
+      }
+    }
     metrics_->counter("fault.recovery_cycles").add(recovery_cycles);
   }
 }

@@ -21,7 +21,7 @@ namespace esarp::fault {
 /// Outcome of rolling the DMA/mem-bits sites for one transfer segment.
 enum class TransferFault : std::uint8_t {
   kNone,    ///< delivered intact
-  kCorrupt, ///< delivered, payload bytes flipped (checksum catches it)
+  kCorrupt, ///< delivered, payload bytes flipped (the byte compare catches it)
   kDropped, ///< never delivered (timeout catches it)
 };
 
@@ -38,8 +38,8 @@ struct FaultRecord {
 /// Campaign totals for run manifests (all simulated-time quantities).
 struct FaultSummary {
   std::uint64_t injected = 0;
-  std::uint64_t detected = 0;
-  std::uint64_t recovered = 0;
+  std::uint64_t detected = 0;  ///< failed attempts + fail-stop detections
+  std::uint64_t recovered = 0; ///< transfer faults a later attempt repaired
   std::uint64_t retries = 0;
   std::uint64_t repartitions = 0;
   std::uint64_t recovery_cycles = 0;
@@ -93,8 +93,13 @@ public:
 
   // -- Recovery accounting (called from the resilience layer) -------------
 
+  /// One failed transfer attempt, caught by verification or the watchdog.
   void count_detected(Site site);
-  void count_recovered(Site site, std::uint64_t recovery_cycles);
+  /// One transfer verified after failed attempts: it recovered `corrupt`
+  /// detected corruptions and `dropped` detected drops (one per failed
+  /// attempt), `recovery_cycles` after its first attempt ended.
+  void count_recovered(std::uint64_t corrupt, std::uint64_t dropped,
+                       std::uint64_t recovery_cycles);
   void count_retry();
   void count_repartition(std::uint64_t surviving_cores);
   void count_af_window_dropped();
@@ -111,8 +116,9 @@ public:
 
   [[nodiscard]] FaultSummary summary() const;
 
-  /// Checksum used by the resilience layer to verify delivered payloads
-  /// against their source (FNV-1a over bytes).
+  /// FNV-1a over bytes: the recorded fingerprint of a delivered image
+  /// (serve::JobRecord::image_checksum). Transfers are verified by byte
+  /// compare instead (resilient.hpp).
   [[nodiscard]] static std::uint64_t checksum(const void* data,
                                               std::size_t bytes);
 

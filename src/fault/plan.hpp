@@ -55,7 +55,7 @@ private:
 
 /// Injection sites (the labels on fault.injected{site=...} counters).
 enum class Site : std::uint8_t {
-  kDmaCorrupt, ///< transfer delivered corrupted payload (checksum-detected)
+  kDmaCorrupt, ///< transfer delivered corrupted payload (byte-compare-detected)
   kDmaDrop,    ///< transfer lost in flight (timeout-detected)
   kNocStall,   ///< NoC link held busy for extra cycles (delay-only)
   kMemBits,    ///< bit flip in data resident in a local bank

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "analysis/cost_model.hpp"
 #include "common/assert.hpp"
@@ -62,7 +64,7 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 }
 
 enum class AttemptStatus : std::uint8_t {
-  kOk,          ///< image delivered and checksum-verified
+  kOk,          ///< image delivered and verified against the reference
   kChipKilled,  ///< whole-chip fail-stop fired mid-job
   kTimedOut,    ///< watchdog expired (timeout_factor x clean makespan)
   kCorrupt,     ///< image delivered but failed verification
@@ -92,9 +94,21 @@ struct Attempt {
   fault::FaultPlan plan;
   std::uint64_t clean_cycles = 0;
   double clean_energy_j = 0.0;
+  const Array2D<cf32>* clean_image = nullptr;
   std::uint64_t clean_checksum = 0;
   std::uint64_t timeout_cycles = 0;
 };
+
+[[nodiscard]] bool same_image(const Array2D<cf32>& a,
+                              const Array2D<cf32>& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(cf32)) == 0;
+}
+
+/// FNV-1a of an image's bytes: the JobRecord::image_checksum fingerprint.
+[[nodiscard]] std::uint64_t image_checksum(const Array2D<cf32>& img) {
+  return fault::FaultInjector::checksum(img.data(), img.size() * sizeof(cf32));
+}
 
 struct AttemptOutcome {
   AttemptStatus status = AttemptStatus::kOk;
@@ -106,7 +120,7 @@ struct AttemptOutcome {
 
 /// Run one whole job on one simulated chip — the per-job analogue of
 /// resilient.hpp's verified transfer: execute, bound with a watchdog,
-/// checksum the delivered image against the fault-free reference.
+/// compare the delivered image with the fault-free reference.
 [[nodiscard]] AttemptOutcome exec_attempt(const Attempt& a,
                                           const ep::ChipConfig& base) {
   AttemptOutcome out;
@@ -123,6 +137,7 @@ struct AttemptOutcome {
   cfg.faults = a.plan;
   try {
     bool degraded_image = false;
+    Array2D<cf32> image;
     if (a.algo == Algo::kFfbp) {
       core::FfbpMapOptions opt;
       opt.n_cores = a.cores;
@@ -132,23 +147,23 @@ struct AttemptOutcome {
       out.energy_j = sim.energy.total_j();
       out.faults = sim.faults;
       degraded_image = sim.degraded;
-      out.checksum = fault::FaultInjector::checksum(
-          sim.image.data(), sim.image.rows() * sim.image.cols() *
-                                sizeof(cf32));
+      image = std::move(sim.image);
     } else {
       auto sim = core::run_gbp_epiphany(*a.data, a.params, a.cores, cfg,
                                         a.timeout_cycles);
       out.cycles = sim.cycles;
       out.energy_j = sim.energy.total_j();
       out.faults = sim.faults;
-      out.checksum = fault::FaultInjector::checksum(
-          sim.image.data(), sim.image.rows() * sim.image.cols() *
-                                sizeof(cf32));
+      image = std::move(sim.image);
     }
-    if (degraded_image || out.checksum != a.clean_checksum) {
+    const bool clean = same_image(image, *a.clean_image);
+    // Only an image that differs from the reference needs hashing: the
+    // recorded checksum of a clean one is the reference's.
+    out.checksum = clean ? a.clean_checksum : image_checksum(image);
+    if (degraded_image || !clean) {
       // The chip *thinks* it delivered, but the image is not the verified
       // fault-free result — the fleet treats that exactly like a failed
-      // transfer checksum and retries elsewhere.
+      // transfer verify and retries elsewhere.
       out.status = AttemptStatus::kCorrupt;
     }
   } catch (const fault::ChipFailed& e) {
@@ -221,17 +236,16 @@ const Fleet::CleanRef& Fleet::clean_ref(const SimKey& key) {
     ref.cycles = sim.cycles;
     ref.seconds = sim.seconds;
     ref.energy_j = sim.energy.total_j();
-    ref.checksum = fault::FaultInjector::checksum(
-        sim.image.data(), sim.image.rows() * sim.image.cols() * sizeof(cf32));
+    ref.image = std::move(sim.image);
   } else {
     auto sim = core::run_gbp_epiphany(data, p, key.cores, cfg);
     ref.cycles = sim.cycles;
     ref.seconds = sim.seconds;
     ref.energy_j = sim.energy.total_j();
-    ref.checksum = fault::FaultInjector::checksum(
-        sim.image.data(), sim.image.rows() * sim.image.cols() * sizeof(cf32));
+    ref.image = std::move(sim.image);
   }
-  return clean_cache_.emplace(key, ref).first->second;
+  ref.checksum = image_checksum(ref.image);
+  return clean_cache_.emplace(key, std::move(ref)).first->second;
 }
 
 double Fleet::model_rel_err(const SimKey& key) {
@@ -545,6 +559,7 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
                                            j.spec.n_cores});
     a.clean_cycles = ref.cycles;
     a.clean_energy_j = ref.energy_j;
+    a.clean_image = &ref.image;
     a.clean_checksum = ref.checksum;
     a.est_service_s = ref.seconds;
     if (pol.timeout_factor > 0.0) {

@@ -10,10 +10,10 @@
 // simulated chip under a per-attempt fault plan derived deterministically
 // from (campaign seed, job id, attempt, chip), and each attempt is
 // bounded by a watchdog (timeout_factor x the memoized fault-free
-// makespan) and verified by an FNV checksum against the fault-free image
+// makespan) and verified by byte compare against the fault-free image
 // — the whole-job generalization of the per-transfer retry/verify loop in
 // src/epiphany/resilient.hpp. Failed attempts (chip fail-stop, timeout,
-// checksum mismatch, unrecovered faults) re-enter the queue with
+// image mismatch, unrecovered faults) re-enter the queue with
 // exponential backoff; after max_attempts at one quality level the job
 // degrades (aperture halved -> one fewer FFBP merge level) instead of
 // being dropped. Overload control layers on top: ShedPolicy estimates
@@ -260,7 +260,8 @@ private:
     std::uint64_t cycles = 0;
     double seconds = 0.0;
     double energy_j = 0.0;
-    std::uint64_t checksum = 0;
+    Array2D<cf32> image; ///< the fault-free image attempts are compared to
+    std::uint64_t checksum = 0; ///< FNV-1a of `image`
     /// |analytic makespan - simulated| / simulated, filled lazily by
     /// model_rel_err() for the shed-policy cross-check (-1 = not yet).
     double model_rel_err = -1.0;

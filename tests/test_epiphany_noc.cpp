@@ -2,6 +2,9 @@
 // the local/external memories.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/assert.hpp"
 #include "common/types.hpp"
 #include "epiphany/address_map.hpp"
@@ -261,6 +264,18 @@ TEST(ExternalMemory, AllocAndOffsets) {
   EXPECT_TRUE(ext.owns(a.data()));
   EXPECT_GT(ext.offset_of(b.data()), ext.offset_of(a.data()));
   EXPECT_THROW(ext.alloc<double>(1 << 20), ContractViolation);
+}
+
+// Programs keep zero-initialised flags in SDRAM (the FFBP row checkpoints),
+// so a fresh store must read as zeros end to end.
+TEST(ExternalMemory, FreshStoreReadsZero) {
+  ExternalMemory ext(8u << 20);
+  EXPECT_EQ(ext.capacity(), std::size_t{8u << 20});
+  const auto all = ext.alloc<std::uint64_t>(ext.capacity() / 8);
+  EXPECT_TRUE(std::all_of(all.begin(), all.end(),
+                          [](std::uint64_t w) { return w == 0; }));
+  all.back() = 1;
+  EXPECT_EQ(ext.offset_of(&all.back()), (8u << 20) - 8);
 }
 
 } // namespace

@@ -5,14 +5,17 @@
 // protocol exists to avoid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/autofocus_epiphany.hpp"
 #include "core/ffbp_epiphany.hpp"
+#include "core/ffbp_layout.hpp"
 #include "core/gbp_epiphany.hpp"
 #include "epiphany/machine.hpp"
 #include "epiphany/resilient.hpp"
@@ -127,11 +130,92 @@ TEST(Resilience, ReliableReadRetriesUntilThePayloadVerifies) {
   EXPECT_GT(s.injected, 0u);
   EXPECT_GT(s.detected, 0u);
   EXPECT_GT(s.retries, 0u);
-  // Recovery is counted once per episode, while a faulted *retry* counts
-  // as another detection — so at a 50% rate detected >= recovered > 0.
+  // Every failed attempt is one detection, and every transfer verified in
+  // the end, so each detected fault was also recovered.
   EXPECT_GT(s.recovered, 0u);
-  EXPECT_GE(s.detected, s.recovered);
+  EXPECT_EQ(s.detected, s.recovered);
   EXPECT_GT(s.recovery_cycles, 0u);
+}
+
+TEST(Resilience, ByteCompareRejectsEveryInjectedDamage) {
+  std::uint8_t src[64];
+  for (std::size_t i = 0; i < sizeof(src); ++i)
+    src[i] = static_cast<std::uint8_t>(3 * i + 1);
+  std::uint8_t dst[64];
+  std::memcpy(dst, src, sizeof(dst));
+  EXPECT_TRUE(ep::detail::payload_ok(dst, src, sizeof(dst)));
+
+  // One flipped bit in one byte (mem-bits), two corrupted bytes
+  // (dma-corrupt) and the 8-byte scrub window of a dropped transfer.
+  FaultPlan membits;
+  membits.membits_rate = 1.0;
+  FaultPlan drop;
+  drop.dma_drop_rate = 1.0;
+  const std::pair<FaultPlan, int> cases[] = {
+      {membits, 1}, {corrupt_plan(1.0), 2}, {drop, 8}};
+  for (const auto& [plan, bytes_changed] : cases) {
+    std::memcpy(dst, src, sizeof(dst));
+    FaultInjector inj(plan, nullptr);
+    ASSERT_NE(static_cast<int>(inj.on_transfer(0, dst, sizeof(dst), 0)),
+              static_cast<int>(TransferFault::kNone));
+    int changed = 0;
+    for (std::size_t i = 0; i < sizeof(dst); ++i) changed += dst[i] != src[i];
+    EXPECT_EQ(changed, bytes_changed);
+    EXPECT_FALSE(ep::detail::payload_ok(dst, src, sizeof(dst)));
+  }
+}
+
+TEST(Resilience, DoubleFaultCountsTwoDetectionsAndTwoRecoveries) {
+  // Rolls depend only on (seed, site, core, counter), so a standalone
+  // injector predicts the machine's schedule: pick the first seed whose
+  // first three core-0 transfers are dropped, corrupted, then clean.
+  FaultPlan plan;
+  plan.dma_drop_rate = 0.25;
+  plan.dma_corrupt_rate = 0.25;
+  float probe[16] = {};
+  const auto roll = [&](FaultInjector& inj, std::uint64_t op) {
+    return inj.on_transfer(0, probe, sizeof(probe), op);
+  };
+  for (plan.seed = 1; plan.seed < 10'000; ++plan.seed) {
+    FaultInjector inj(plan, nullptr);
+    if (roll(inj, 0) == TransferFault::kDropped &&
+        roll(inj, 1) == TransferFault::kCorrupt &&
+        roll(inj, 2) == TransferFault::kNone)
+      break;
+  }
+  ASSERT_LT(plan.seed, 10'000u);
+
+  ep::ChipConfig cfg;
+  cfg.faults = plan;
+  ep::Machine m(cfg);
+  auto src = m.ext().alloc<float>(16);
+  for (std::size_t i = 0; i < src.size(); ++i)
+    src[i] = static_cast<float>(i) + 0.25f;
+  bool ok = false;
+  m.launch(0, [&](ep::CoreCtx& ctx) -> ep::Task {
+    auto local = ctx.local().alloc_in_bank<float>(16, 2);
+    co_await ep::reliable_read_ext(ctx, local.data(), src.data(),
+                                   src.size() * sizeof(float));
+    ok = std::equal(src.begin(), src.end(), local.begin());
+  });
+  m.run();
+
+  EXPECT_TRUE(ok);
+  const auto s = m.fault_injector()->summary();
+  EXPECT_EQ(s.injected, 2u);
+  EXPECT_EQ(s.retries, 2u);
+  EXPECT_EQ(s.detected, 2u);
+  EXPECT_EQ(s.recovered, 2u);
+  // Each recovery is attributed to the site its detection was.
+  for (const char* site : {"dma-drop", "dma-corrupt"}) {
+    const std::string label = std::string("{site=") + site + "}";
+    const auto* det = m.metrics().find_counter("fault.detected" + label);
+    const auto* rec = m.metrics().find_counter("fault.recovered" + label);
+    ASSERT_NE(det, nullptr);
+    ASSERT_NE(rec, nullptr);
+    EXPECT_EQ(det->value(), 1u) << site;
+    EXPECT_EQ(rec->value(), 1u) << site;
+  }
 }
 
 TEST(Resilience, ExhaustedRetriesThrowFaultUnrecovered) {
@@ -229,6 +313,23 @@ TEST(FfbpFaults, TransferFaultCampaignRecoversToTheExactImage) {
   EXPECT_EQ(faulted.faults.recovered, faulted.faults.detected);
   EXPECT_FALSE(faulted.degraded);
   EXPECT_EQ(faulted.faults.failed_cores, 0u);
+  // Without fail-stops every row is merged once, fetching two child
+  // samples per range bin, each either a local hit or an SDRAM miss. Both
+  // programs prefetch the same predicted child rows, so they miss alike.
+  ASSERT_EQ(faulted.prefetch_stats.size(), p.merge_levels());
+  ASSERT_EQ(clean.prefetch_stats.size(), p.merge_levels());
+  std::uint64_t misses = 0;
+  for (std::size_t l = 0; l < p.merge_levels(); ++l) {
+    const auto& ls = faulted.prefetch_stats[l];
+    const std::size_t rows =
+        core::LevelLayout::at(p, ls.level).rows_total();
+    EXPECT_EQ(ls.local_hits + ls.ext_misses, 2 * rows * p.n_range)
+        << "level " << ls.level;
+    EXPECT_EQ(ls.ext_misses, clean.prefetch_stats[l].ext_misses)
+        << "level " << ls.level;
+    misses += ls.ext_misses;
+  }
+  EXPECT_GT(misses, 0u);
 }
 
 TEST(FfbpFaults, SameSeedGivesBitIdenticalCampaigns) {
@@ -421,7 +522,7 @@ TEST(ChipFailStop, GbpRunnerSurfacesFaultSummaryAndWatchdog) {
   const auto res = core::run_gbp_epiphany(data, p, 4, cfg);
   // GBP streams through raw DMA (no per-transfer verify), so injections
   // are recorded but undetected — catching them end-to-end is exactly why
-  // the serve fleet checksums whole images against the fault-free run.
+  // the serve fleet compares whole images with the fault-free run.
   EXPECT_GT(res.faults.injected, 0u);
   EXPECT_EQ(res.faults.detected, 0u);
   // The new max_cycles bound turns a too-slow run into a watchdog trip —

@@ -353,7 +353,7 @@ TEST(FleetServe, ExhaustedFleetAbortsLoudly) {
 }
 
 TEST(FleetServe, PersistentCorruptionExhaustsTheDegradationLadder) {
-  // Corrupting every transfer defeats the checksum verify at every
+  // Corrupting every transfer defeats the transfer verify at every
   // degradation level, so the job runs out of ladder and the campaign
   // aborts instead of returning a corrupt image.
   TraceParams p = small_trace_params();
