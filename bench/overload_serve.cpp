@@ -136,7 +136,7 @@ static int bench_body() {
              Table::num(static_cast<double>(c.hedge_wins), 0),
              Table::num(static_cast<double>(c.hedge_wasted), 0)});
     const std::string p =
-        "l" + Table::num(points[i].load, 1) + "." + pol.name + ".";
+        std::string("l") + Table::num(points[i].load, 1) + "." + pol.name + ".";
     man.add_result(p + "slo_attainment", rep.slo_attainment);
     man.add_result(p + "jobs_met", static_cast<double>(c.jobs_met));
     man.add_result(p + "jobs_late", static_cast<double>(c.jobs_late));

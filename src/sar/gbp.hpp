@@ -33,6 +33,15 @@ struct GbpGrid {
   double k_phase; ///< 4*pi/lambda
 };
 
+/// Exact carrier-phase compensation of one range: {cos, sin} of
+/// fmod(k_phase * range, 2*pi) in double-precision libm, rounded to float.
+inline cf32 gbp_rotation(float range, double k_phase) {
+  const double phase =
+      std::fmod(k_phase * static_cast<double>(range), 2.0 * kPi);
+  return {static_cast<float>(std::cos(phase)),
+          static_cast<float>(std::sin(phase))};
+}
+
 /// One pulse's contribution to the pixel at slant-plane position (px, py):
 /// exact range, nearest-bin sample, exact carrier-phase compensation.
 /// Returns zero when the range falls outside the swath.
@@ -43,11 +52,7 @@ inline cf32 gbp_contribution(float px, float py, float pulse_x,
   const float bf = (range - g.r0) * g.inv_dr;
   const int bin = static_cast<int>(bf + 0.5f);
   if (bf < -0.5f || bin >= g.n_range) return {};
-  const double phase =
-      std::fmod(g.k_phase * static_cast<double>(range), 2.0 * kPi);
-  const cf32 rot{static_cast<float>(std::cos(phase)),
-                 static_cast<float>(std::sin(phase))};
-  return pulse_row[bin] * rot;
+  return pulse_row[bin] * gbp_rotation(range, g.k_phase);
 }
 
 struct GbpResult {

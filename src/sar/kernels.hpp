@@ -10,6 +10,8 @@
 // IEEE-exact std::sqrt — and all kernel translation units are compiled
 // with -ffp-contract=off, so every backend produces bit-identical results
 // (enforced by tests/test_kernels.cpp and the micro_kernels bench rows).
+// The GBP carrier phase is the one part computed another way and proven
+// equal to libm per lane (gbp_contrib_row below).
 // Simulated-cycle costs are analytic (OpCounts), so backend choice affects
 // host wall-clock only: images, cycles, energy and manifests are unchanged.
 //
@@ -69,9 +71,13 @@ void criterion_terms(const cf32* minus, const cf32* plus, float* out,
 
 /// One pulse's GBP contributions to a row of pixels:
 /// acc[i] += gbp_contribution(px[i], py[i], pulse_x, pulse_row, g).
-/// The range/bin geometry is vectorized; the double-precision carrier
-/// phase (fmod/cos/sin) stays in scalar libm per valid lane, keeping the
-/// result bit-identical to the scalar reference.
+/// The range/bin geometry is vectorized, and so is the double-precision
+/// carrier phase: an exact fmod, the fdlibm sin/cos polynomials, and a
+/// rounding bracket of +-2^-50 around each result that keeps a lane only
+/// when both ends round to the same float — which, with libm within 1 ulp,
+/// is libm's float. Lanes whose bracket fails (or whose phase is beyond
+/// the exact reduction) recompute the scalar libm expression, so the
+/// result stays bit-identical to the scalar reference.
 void gbp_contrib_row(const float* px, const float* py, float pulse_x,
                      const cf32* pulse_row, const GbpGrid& g, cf32* acc,
                      std::size_t n);

@@ -51,6 +51,43 @@ struct VAvx2 {
   }
   static I iota() { return _mm256_set_epi32(7, 6, 5, 4, 3, 2, 1, 0); }
 
+  // Double lanes (the GBP carrier phase).
+  static constexpr std::size_t kDLanes = 4;
+  using D = __m256d;
+
+  static D load_d(const float* p) { return _mm256_cvtps_pd(_mm_loadu_ps(p)); }
+  static D set1_d(double x) { return _mm256_set1_pd(x); }
+  static D add_d(D a, D b) { return _mm256_add_pd(a, b); }
+  static D sub_d(D a, D b) { return _mm256_sub_pd(a, b); }
+  static D mul_d(D a, D b) { return _mm256_mul_pd(a, b); }
+  static D cmp_lt_d(D a, D b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
+  static D cmp_ge_d(D a, D b) { return _mm256_cmp_pd(a, b, _CMP_GE_OQ); }
+  static D cmp_eq_d(D a, D b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
+  static D and_d(D a, D b) { return _mm256_and_pd(a, b); }
+  static D or_d(D a, D b) { return _mm256_or_pd(a, b); }
+  static D xor_d(D a, D b) { return _mm256_xor_pd(a, b); }
+  static D blend_d(D m, D a, D b) { return _mm256_blendv_pd(b, a, m); }
+  static unsigned mask_d(D m) {
+    return static_cast<unsigned>(_mm256_movemask_pd(m));
+  }
+  /// Truncated / nearest-even integer value.
+  static D trunc_d(D x) {
+    return _mm256_round_pd(x, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  }
+  static D nearest_d(D x) {
+    return _mm256_round_pd(x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  }
+  /// Stores float(lo) to p; returns the lanes where float(lo) and
+  /// float(hi) have the same bits.
+  static unsigned narrow_same(float* p, D lo, D hi) {
+    const __m128 a = _mm256_cvtpd_ps(lo);
+    const __m128 b = _mm256_cvtpd_ps(hi);
+    _mm_storeu_ps(p, a);
+    const __m128i same =
+        _mm_cmpeq_epi32(_mm_castps_si128(a), _mm_castps_si128(b));
+    return static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(same)));
+  }
+
   static void load_cf(const cf32* p, F& re, F& im) {
     const float* f = reinterpret_cast<const float*>(p);
     const F a = _mm256_loadu_ps(f);     // r0 i0 r1 i1 | r2 i2 r3 i3

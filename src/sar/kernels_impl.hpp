@@ -1,9 +1,11 @@
 // Private backend interface of the unified kernel API (sar/kernels.hpp):
 // each backend translation unit fills one KernelTable; kernels.cpp owns
-// the dispatch. Not for inclusion outside the kernels_*.cpp family.
+// the dispatch. Not for inclusion outside the kernels_*.cpp family and
+// tests/test_kernels.cpp (which reads the GBP phase lane mask below).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "common/types.hpp"
 #include "sar/gbp.hpp"
@@ -25,6 +27,12 @@ struct KernelTable {
   void (*gbp_contrib_row)(const float* px, const float* py, float pulse_x,
                           const cf32* pulse_row, const GbpGrid& g, cf32* acc,
                           std::size_t n);
+  /// The carrier phase of gbp_contrib_row on its own, with its lane mask:
+  /// rot[i] = gbp_rotation(range[i], k_phase), and fast[i] = 1 where the
+  /// backend's vector phase passed its rounding bracket, 0 where the lane
+  /// fell back to libm (every lane of the scalar backend, and the tails).
+  void (*gbp_phase_row)(const float* range, double k_phase, cf32* rot,
+                        std::uint8_t* fast, std::size_t n);
 };
 
 /// The scalar reference table; never null.

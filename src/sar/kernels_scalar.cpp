@@ -48,12 +48,20 @@ void gbp_contrib_row_scalar(const float* px, const float* py, float pulse_x,
     acc[i] += gbp_contribution(px[i], py[i], pulse_x, pulse_row, g);
 }
 
+void gbp_phase_row_scalar(const float* range, double k_phase, cf32* rot,
+                          std::uint8_t* fast, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    rot[i] = gbp_rotation(range[i], k_phase);
+    fast[i] = 0;
+  }
+}
+
 } // namespace
 
 const KernelTable* scalar_table() {
   static const KernelTable table{
       merge_geometry_row_scalar, neville4_many_scalar, neville4_rows_scalar,
-      criterion_terms_scalar, gbp_contrib_row_scalar};
+      criterion_terms_scalar, gbp_contrib_row_scalar, gbp_phase_row_scalar};
   return &table;
 }
 

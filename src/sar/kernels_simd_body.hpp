@@ -1,9 +1,9 @@
 // Width-generic SIMD implementation of the unified kernel API, shared by
-// the SSE2 (4-lane) and AVX2 (8-lane) backend translation units. Each TU
-// defines a vector-trait struct V with the intrinsics of its instruction
-// set and instantiates SimdKernels<V>; the traits live in anonymous
-// namespaces, so the instantiations are TU-local (no ODR interaction
-// between arch-specific object files).
+// the SSE2 (4 float / 2 double lanes) and AVX2 (8 float / 4 double lanes)
+// backend translation units. Each TU defines a vector-trait struct V with
+// the intrinsics of its instruction set and instantiates SimdKernels<V>;
+// the traits live in anonymous namespaces, so the instantiations are
+// TU-local (no ODR interaction between arch-specific object files).
 //
 // BIT-EXACTNESS CONTRACT: every function here replicates its scalar
 // reference (sar/interp.hpp, sar/merge_kernel.hpp, common/fastmath.hpp,
@@ -13,12 +13,26 @@
 // lanes, truncating float->int conversion, and no FMA contraction (all
 // kernel TUs build with -ffp-contract=off, and the AVX2 TU deliberately
 // enables -mavx2 WITHOUT -mfma). IEEE sqrtps matches std::sqrt(float)
-// exactly, so the GBP range vectorizes; the double-precision carrier
-// phase does not, and stays scalar per valid lane. Changing any
+// exactly, so the GBP range vectorizes.
+//
+// The one exception is the GBP carrier phase, {cos, sin} of
+// fmod(k * range, 2*pi) in double libm rounded to float: it cannot be
+// replicated operation for operation, so it is computed differently and
+// proven equal per lane (gbp_phase_lanes). fmod is exact, so it is
+// reproduced exactly; cos/sin come from the fdlibm kernel polynomials,
+// whose double result v is then rounded to float from both ends of
+// [v - 2^-50, v + 2^-50]. libm's double is assumed within 1 ulp
+// (<= 2^-52) of the true value, and v is within 2^-52 of it too (the
+// fdlibm kernels are accurate to under 1 ulp; 0.4 * 2^-52 measured against
+// long double), so libm's double lies inside the bracket. Where both ends give the same float, rounding being
+// monotonic, libm's double rounds to that same float. Lanes whose bracket
+// straddles a float rounding boundary, or whose fmod reduction is outside
+// the exact range, recompute the scalar libm expression. Changing any
 // expression here requires re-running the cross-backend tests in
-// tests/test_kernels.cpp.
+// tests/test_kernels.cpp, including the exhaustive phase test.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -235,6 +249,149 @@ struct SimdKernels {
     for (; i < n; ++i) out[i] = criterion_term(minus[i], plus[i]);
   }
 
+  // GBP carrier phase (see the header comment).
+
+  using D = typename V::D;
+  static constexpr std::size_t kDLanes = V::kDLanes;
+
+  /// 2*pi as the scalar reference's fmod divides by it, split Cody-Waite
+  /// style: kTwoPiHi keeps the top 27 significand bits, so n * kTwoPiHi
+  /// and n * kTwoPiLo are exact for integer 0 <= n < 2^26.
+  static constexpr double kTwoPi = 2.0 * kPi;
+  static constexpr std::uint64_t kLow26 = (std::uint64_t{1} << 26) - 1;
+  static constexpr double kTwoPiHi =
+      std::bit_cast<double>(std::bit_cast<std::uint64_t>(kTwoPi) & ~kLow26);
+  static constexpr double kTwoPiLo = kTwoPi - kTwoPiHi;
+  /// fdlibm's two-part pi/2 (33 + 53 bits of the true pi/2).
+  static constexpr double kPio2Hi = 1.57079632673412561417e+00;
+  static constexpr double kPio2Lo = 6.07710050650619224932e-11;
+  /// fdlibm k_sin.c / k_cos.c polynomial coefficients.
+  static constexpr double kS1 = -1.66666666666666324348e-01;
+  static constexpr double kS2 = 8.33333333332248946124e-03;
+  static constexpr double kS3 = -1.98412698298579493134e-04;
+  static constexpr double kS4 = 2.75573137070700676789e-06;
+  static constexpr double kS5 = -2.50507602534068634195e-08;
+  static constexpr double kS6 = 1.58969099521155010221e-10;
+  static constexpr double kC1 = 4.16666666666666019037e-02;
+  static constexpr double kC2 = -1.38888888888741095749e-03;
+  static constexpr double kC3 = 2.48015872894767294178e-05;
+  static constexpr double kC4 = -2.75573143513906633035e-07;
+  static constexpr double kC5 = 2.08757232129817482790e-09;
+  static constexpr double kC6 = -1.13596475577881948265e-11;
+
+  static D dc(double x) { return V::set1_d(x); }
+
+  /// a + b * c, two roundings (no FMA).
+  static D madd(D a, D b, D c) { return V::add_d(a, V::mul_d(b, c)); }
+
+  /// fdlibm __kernel_sin(x, y, 1) on |x| <= pi/4 with tail y:
+  /// x - ((z * (y / 2 - v * r) - y) - v * S1).
+  static D kernel_sin(D x, D y) {
+    const D z = V::mul_d(x, x);
+    const D w = V::mul_d(z, z);
+    const D s34 = madd(dc(kS3), z, dc(kS4));
+    const D s56 = madd(dc(kS5), z, dc(kS6));
+    const D r = V::add_d(madd(dc(kS2), z, s34), V::mul_d(V::mul_d(z, w), s56));
+    const D v = V::mul_d(z, x);
+    const D h = V::sub_d(V::mul_d(dc(0.5), y), V::mul_d(v, r));
+    const D inner = V::sub_d(V::mul_d(z, h), y);
+    return V::sub_d(x, V::sub_d(inner, V::mul_d(v, dc(kS1))));
+  }
+
+  /// fdlibm __kernel_cos(x, y) on |x| <= pi/4 with tail y:
+  /// w + (((1 - w) - z / 2) + (z * r - x * y)) with w = 1 - z / 2.
+  static D kernel_cos(D x, D y) {
+    const D z = V::mul_d(x, x);
+    const D w = V::mul_d(z, z);
+    const D c23 = madd(dc(kC2), z, dc(kC3));
+    const D c56 = madd(dc(kC5), z, dc(kC6));
+    const D c456 = madd(dc(kC4), z, c56);
+    const D r = madd(V::mul_d(z, madd(dc(kC1), z, c23)), V::mul_d(w, w), c456);
+    const D hz = V::mul_d(dc(0.5), z);
+    const D w1 = V::sub_d(dc(1.0), hz);
+    const D tail = V::sub_d(V::mul_d(z, r), V::mul_d(x, y));
+    return V::add_d(w1, V::add_d(V::sub_d(V::sub_d(dc(1.0), w1), hz), tail));
+  }
+
+  /// gbp_rotation for kDLanes ranges: writes c[l], s[l] and returns the
+  /// bit mask of lanes proven equal to libm. Lanes outside the mask hold
+  /// garbage and must be recomputed with gbp_rotation.
+  static unsigned gbp_phase_lanes(const float* range, double k_phase,
+                                  float* c, float* s) {
+    const D t = V::mul_d(dc(k_phase), V::load_d(range));
+    const D quot = V::mul_d(t, dc(1.0 / kTwoPi));
+    // The reduction below is exact for 0 <= n < 2^26; NaN fails both.
+    const D in_range = V::and_d(V::cmp_ge_d(t, dc(0.0)),
+                                V::cmp_lt_d(quot, dc(0x1p26)));
+
+    // fmod(t, 2*pi), exactly. n may be one off the true quotient, but only
+    // when the remainder is within 2^-26 * 2*pi of 0 or of 2*pi, and then
+    // one exact +-2*pi step fixes it.
+    const D hi = dc(kTwoPiHi);
+    const D lo = dc(kTwoPiLo);
+    const D n = V::trunc_d(quot);
+    D f = V::sub_d(V::sub_d(t, V::mul_d(n, hi)), V::mul_d(n, lo));
+    const D f_up = V::add_d(V::add_d(f, hi), lo);
+    f = V::blend_d(V::cmp_lt_d(f, dc(0.0)), f_up, f);
+    const D f_down = V::sub_d(V::sub_d(f, hi), lo);
+    f = V::blend_d(V::cmp_ge_d(f, dc(kTwoPi)), f_down, f);
+
+    // Quadrant q in 0..4 and the reduced argument x + xt in
+    // [-pi/4, pi/4], as in fdlibm's __ieee754_rem_pio2.
+    const D q = V::nearest_d(V::mul_d(f, dc(2.0 / kPi)));
+    const D a = V::sub_d(f, V::mul_d(q, dc(kPio2Hi)));
+    const D qlo = V::mul_d(q, dc(kPio2Lo));
+    const D x = V::sub_d(a, qlo);
+    const D xt = V::sub_d(V::sub_d(a, x), qlo);
+    const D ks = kernel_sin(x, xt);
+    const D kc = kernel_cos(x, xt);
+    const D q1 = V::cmp_eq_d(q, dc(1.0));
+    const D q2 = V::cmp_eq_d(q, dc(2.0));
+    const D q3 = V::cmp_eq_d(q, dc(3.0));
+    const D swap = V::or_d(q1, q3);
+    const D sin_sign = V::and_d(V::or_d(q2, q3), dc(-0.0));
+    const D cos_sign = V::and_d(V::or_d(q1, q2), dc(-0.0));
+    const D sv = V::xor_d(V::blend_d(swap, kc, ks), sin_sign);
+    const D cv = V::xor_d(V::blend_d(swap, ks, kc), cos_sign);
+
+    // The rounding bracket.
+    const D eps = dc(0x1p-50);
+    const unsigned c_ok =
+        V::narrow_same(c, V::sub_d(cv, eps), V::add_d(cv, eps));
+    const unsigned s_ok =
+        V::narrow_same(s, V::sub_d(sv, eps), V::add_d(sv, eps));
+    return V::mask_d(in_range) & c_ok & s_ok;
+  }
+
+  /// gbp_phase_lanes over kLanes ranges; bit l of the result is lane l.
+  static unsigned gbp_phase_quantum(const float* range, double k_phase,
+                                    float* c, float* s) {
+    unsigned fast = 0;
+    for (std::size_t j = 0; j < kLanes; j += kDLanes)
+      fast |= gbp_phase_lanes(range + j, k_phase, c + j, s + j) << j;
+    return fast;
+  }
+
+  static void gbp_phase_row(const float* range, double k_phase, cf32* rot,
+                            std::uint8_t* fast, std::size_t n) {
+    std::size_t i = 0;
+    float c[kLanes], s[kLanes];
+    for (; i + kLanes <= n; i += kLanes) {
+      const unsigned ok = gbp_phase_quantum(range + i, k_phase, c, s);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        fast[i + l] = (ok >> l) & 1u;
+        if (fast[i + l] != 0)
+          rot[i + l] = cf32{c[l], s[l]};
+        else
+          rot[i + l] = gbp_rotation(range[i + l], k_phase);
+      }
+    }
+    for (; i < n; ++i) {
+      rot[i] = gbp_rotation(range[i], k_phase);
+      fast[i] = 0;
+    }
+  }
+
   static void gbp_contrib_row(const float* px, const float* py,
                               float pulse_x, const cf32* pulse_row,
                               const GbpGrid& g, cf32* acc, std::size_t n) {
@@ -245,7 +402,7 @@ struct SimdKernels {
     const F vminus_half = V::set1(-0.5f);
     const I vnr = V::set1_i(g.n_range);
     std::size_t i = 0;
-    float rng[kLanes];
+    float rng[kLanes], c[kLanes], s[kLanes];
     std::int32_t bin[kLanes];
     std::int32_t ok[kLanes];
     for (; i + kLanes <= n; i += kLanes) {
@@ -261,13 +418,11 @@ struct SimdKernels {
       V::store(rng, range);
       V::store_i(bin, b);
       V::store_i(ok, valid);
+      const unsigned fast = gbp_phase_quantum(rng, g.k_phase, c, s);
       for (std::size_t l = 0; l < kLanes; ++l) {
         if (ok[l] == 0) continue;
-        // Double-precision carrier phase: scalar libm, like the reference.
-        const double phase = std::fmod(
-            g.k_phase * static_cast<double>(rng[l]), 2.0 * kPi);
-        const cf32 rot{static_cast<float>(std::cos(phase)),
-                       static_cast<float>(std::sin(phase))};
+        cf32 rot{c[l], s[l]};
+        if (((fast >> l) & 1u) == 0) rot = gbp_rotation(rng[l], g.k_phase);
         acc[i + l] += pulse_row[bin[l]] * rot;
       }
     }
@@ -278,7 +433,7 @@ struct SimdKernels {
   static const KernelTable* table() {
     static const KernelTable t{merge_geometry_row, neville4_many,
                                neville4_rows, criterion_terms,
-                               gbp_contrib_row};
+                               gbp_contrib_row, gbp_phase_row};
     return &t;
   }
 };

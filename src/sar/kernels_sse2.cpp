@@ -50,6 +50,42 @@ struct VSse2 {
   }
   static I iota() { return _mm_set_epi32(3, 2, 1, 0); }
 
+  // Double lanes (the GBP carrier phase).
+  static constexpr std::size_t kDLanes = 2;
+  using D = __m128d;
+
+  static D load_d(const float* p) { return _mm_set_pd(p[1], p[0]); }
+  static D set1_d(double x) { return _mm_set1_pd(x); }
+  static D add_d(D a, D b) { return _mm_add_pd(a, b); }
+  static D sub_d(D a, D b) { return _mm_sub_pd(a, b); }
+  static D mul_d(D a, D b) { return _mm_mul_pd(a, b); }
+  static D cmp_lt_d(D a, D b) { return _mm_cmplt_pd(a, b); }
+  static D cmp_ge_d(D a, D b) { return _mm_cmpge_pd(a, b); }
+  static D cmp_eq_d(D a, D b) { return _mm_cmpeq_pd(a, b); }
+  static D and_d(D a, D b) { return _mm_and_pd(a, b); }
+  static D or_d(D a, D b) { return _mm_or_pd(a, b); }
+  static D xor_d(D a, D b) { return _mm_xor_pd(a, b); }
+  static D blend_d(D m, D a, D b) {
+    return _mm_or_pd(_mm_and_pd(m, a), _mm_andnot_pd(m, b));
+  }
+  static unsigned mask_d(D m) {
+    return static_cast<unsigned>(_mm_movemask_pd(m));
+  }
+  /// Truncated / nearest-even integer value; exact for |x| < 2^31 (SSE2
+  /// has no round_pd).
+  static D trunc_d(D x) { return _mm_cvtepi32_pd(_mm_cvttpd_epi32(x)); }
+  static D nearest_d(D x) { return _mm_cvtepi32_pd(_mm_cvtpd_epi32(x)); }
+  /// Stores float(lo) to p; returns the lanes where float(lo) and
+  /// float(hi) have the same bits.
+  static unsigned narrow_same(float* p, D lo, D hi) {
+    const __m128 a = _mm_cvtpd_ps(lo); // two floats in the low half
+    const __m128 b = _mm_cvtpd_ps(hi);
+    _mm_storel_pi(reinterpret_cast<__m64*>(p), a);
+    const __m128i same =
+        _mm_cmpeq_epi32(_mm_castps_si128(a), _mm_castps_si128(b));
+    return static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(same))) & 3u;
+  }
+
   static void load_cf(const cf32* p, F& re, F& im) {
     const float* f = reinterpret_cast<const float*>(p);
     const F a = _mm_loadu_ps(f);     // r0 i0 r1 i1

@@ -37,8 +37,8 @@ TEST(ProcessNetwork, HeavyEdgesGetShorterThanLightOnes) {
   int heavy = -1;
   std::vector<int> spokes;
   for (int i = 0; i < 5; ++i) {
-    const int s = net.node("spoke" + std::to_string(i), noop);
-    auto& ch = net.channel<int>("e" + std::to_string(i));
+    const int s = net.node(std::string("spoke") + std::to_string(i), noop);
+    auto& ch = net.channel<int>(std::string("e") + std::to_string(i));
     const double w = i == 2 ? 100.0 : 1.0;
     if (i == 2) heavy = s;
     net.connect(hub, s, ch, w);
@@ -65,7 +65,8 @@ TEST(ProcessNetwork, PinningIsRespected) {
 TEST(ProcessNetwork, DistinctCoresForAllNodes) {
   Machine m;
   ProcessNetwork net(m);
-  for (int i = 0; i < 16; ++i) net.node("n" + std::to_string(i), noop);
+  for (int i = 0; i < 16; ++i)
+    net.node(std::string("n") + std::to_string(i), noop);
   const auto& pl = net.place();
   for (std::size_t i = 0; i < pl.size(); ++i)
     for (std::size_t j = i + 1; j < pl.size(); ++j)
@@ -75,7 +76,8 @@ TEST(ProcessNetwork, DistinctCoresForAllNodes) {
 TEST(ProcessNetwork, RejectsTooManyNodes) {
   Machine m;
   ProcessNetwork net(m);
-  for (int i = 0; i < 16; ++i) net.node("n" + std::to_string(i), noop);
+  for (int i = 0; i < 16; ++i)
+    net.node(std::string("n") + std::to_string(i), noop);
   EXPECT_THROW(net.node("overflow", noop), ContractViolation);
 }
 

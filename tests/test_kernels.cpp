@@ -5,13 +5,17 @@
 // tolerance — the SIMD backends are only allowed to exist because they
 // change nothing.
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/types.hpp"
 #include "sar/kernels.hpp"
+#include "sar/kernels_impl.hpp"
+#include "sar/params.hpp"
 
 namespace esarp::sar {
 namespace {
@@ -23,6 +27,10 @@ std::uint32_t bits(float x) { return std::bit_cast<std::uint32_t>(x); }
 void expect_bits_eq(float a, float b, const char* what, std::size_t i) {
   EXPECT_EQ(bits(a), bits(b)) << what << " lane " << i << ": " << a
                               << " vs " << b;
+}
+
+bool same_bits(cf32 a, cf32 b) {
+  return bits(a.real()) == bits(b.real()) && bits(a.imag()) == bits(b.imag());
 }
 
 void expect_bits_eq(cf32 a, cf32 b, const char* what, std::size_t i) {
@@ -217,6 +225,148 @@ TEST(Kernels, GbpContribRowMatchesScalarBitForBit) {
         expect_bits_eq(ref[i], simd[i], "gbp_contrib_row", i);
     }
   });
+}
+
+const k::detail::KernelTable* table_of(k::Backend b) {
+  switch (b) {
+    case k::Backend::kScalar: return k::detail::scalar_table();
+    case k::Backend::kSse2: return k::detail::sse2_table();
+    case k::Backend::kAvx2: return k::detail::avx2_table();
+  }
+  return nullptr;
+}
+
+/// The GBP grid sar::gbp builds for `p`.
+GbpGrid grid_of(const RadarParams& p) {
+  GbpGrid g{};
+  g.r0 = static_cast<float>(p.near_range_m);
+  g.inv_dr = static_cast<float>(1.0 / p.range_bin_m);
+  g.n_range = static_cast<int>(p.n_range);
+  g.k_phase = 4.0 * kPi / p.wavelength_m();
+  return g;
+}
+
+/// Pushes every float range of `p`'s swath (one bin of margin on each
+/// side) through gbp_contrib_row and the phase lane mask of each SIMD
+/// backend, comparing the bits with the scalar backend. The pixel sits at
+/// px = r, py = 0 with the pulse at x = 0, so the kernel's range is
+/// sqrtf(r * r) == r exactly; every pulse sample is 1 and the accumulator
+/// starts at 0, so each output is the lane's carrier rotation itself.
+/// Returns the number of lanes each backend sent to the libm fallback.
+std::vector<std::size_t> check_every_swath_range(const RadarParams& p) {
+  const GbpGrid g = grid_of(p);
+  const float dr = static_cast<float>(p.range_bin_m);
+  const float lo = g.r0 - 1.5f * dr;
+  const float hi = g.r0 + (static_cast<float>(p.n_range) + 0.5f) * dr;
+  const std::vector<cf32> pulse(p.n_range, cf32{1.0f, 0.0f});
+  const std::vector<float> zeros(4096, 0.0f);
+  const std::vector<k::Backend> backends = simd_backends();
+  std::vector<std::size_t> fallbacks(backends.size(), 0);
+  std::vector<std::size_t> mismatches(backends.size(), 0);
+  const k::Backend before = k::active();
+  const k::detail::KernelTable* scalar = table_of(k::Backend::kScalar);
+
+  std::vector<float> r;
+  std::vector<cf32> ref, rot_ref, out, rot;
+  std::vector<std::uint8_t> fast(zeros.size());
+  for (float next = lo; next < hi;) {
+    r.clear();
+    while (r.size() < zeros.size() && next < hi) {
+      r.push_back(next);
+      next = std::nextafter(next, hi);
+    }
+    const std::size_t n = r.size();
+    ref.assign(n, cf32{});
+    rot_ref.resize(n);
+    k::force_backend(k::Backend::kScalar);
+    k::gbp_contrib_row(r.data(), zeros.data(), 0.0f, pulse.data(), g,
+                       ref.data(), n);
+    scalar->gbp_phase_row(r.data(), g.k_phase, rot_ref.data(), fast.data(), n);
+    for (std::size_t b = 0; b < backends.size(); ++b) {
+      out.assign(n, cf32{});
+      rot.resize(n);
+      k::force_backend(backends[b]);
+      k::gbp_contrib_row(r.data(), zeros.data(), 0.0f, pulse.data(), g,
+                         out.data(), n);
+      const k::detail::KernelTable* simd = table_of(backends[b]);
+      simd->gbp_phase_row(r.data(), g.k_phase, rot.data(), fast.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        fallbacks[b] += fast[i] == 0 ? 1 : 0;
+        if (same_bits(ref[i], out[i]) && same_bits(rot_ref[i], rot[i]))
+          continue;
+        if (mismatches[b]++ == 0)
+          ADD_FAILURE() << k::backend_name(backends[b]) << ": range "
+                        << r[i] << " differs from libm";
+      }
+    }
+  }
+  k::force_backend(before);
+  for (std::size_t b = 0; b < backends.size(); ++b)
+    EXPECT_EQ(mismatches[b], 0u) << k::backend_name(backends[b]);
+  return fallbacks;
+}
+
+TEST(Kernels, GbpPhaseEveryRangeOfTheTestSwathMatchesLibm) {
+  // lambda = 2 m: k = 2*pi, so the phase is 2*pi * range and the
+  // fallback path runs on this swath.
+  const RadarParams p = test_params(256, 251);
+  for (const std::size_t fallbacks : check_every_swath_range(p))
+    EXPECT_GT(fallbacks, 0u);
+}
+
+TEST(Kernels, GbpPhaseEveryRangeOfThePaperSwathMatchesLibm) {
+  check_every_swath_range(paper_params());
+}
+
+TEST(Kernels, GbpPhaseFallsBackOutsideTheExactReduction) {
+  // Guard lanes inside one full vector quantum (not the scalar tail):
+  // 1e30 puts the quotient far above 2^26, inf and NaN are not finite.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> range = {450, 1e30f, inf, 451, nan, -inf, 452, 453};
+  const std::vector<std::size_t> guard = {1, 2, 4, 5};
+  const double k_phase = 2.0 * kPi;
+  const std::size_t n = range.size();
+  std::vector<cf32> ref(n), rot(n);
+  std::vector<std::uint8_t> fast(n);
+  const k::detail::KernelTable* scalar = table_of(k::Backend::kScalar);
+  scalar->gbp_phase_row(range.data(), k_phase, ref.data(), fast.data(), n);
+  for (const k::Backend b : simd_backends()) {
+    SCOPED_TRACE(k::backend_name(b));
+    const k::detail::KernelTable* simd = table_of(b);
+    simd->gbp_phase_row(range.data(), k_phase, rot.data(), fast.data(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      expect_bits_eq(ref[i], rot[i], "gbp_phase_row", i);
+    for (const std::size_t i : guard) EXPECT_EQ(fast[i], 0) << "lane " << i;
+  }
+}
+
+TEST(Kernels, GbpContribRowFallsBackForHugeAndNonFiniteWavenumbers) {
+  // The same guards through the row kernel: an in-swath range whose
+  // phase k * range is far beyond 2^26 turns, or is infinite.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double k_phase : {1e30, inf}) {
+    for_each_simd_backend([&](k::Backend b) {
+      GbpGrid g{};
+      g.r0 = 400.0f;
+      g.inv_dr = 2.0f;
+      g.n_range = 64;
+      g.k_phase = k_phase;
+      const std::vector<cf32> pulse(64, cf32{0.5f, 0.25f});
+      std::vector<float> px(16), py(16, 0.0f);
+      for (std::size_t i = 0; i < px.size(); ++i)
+        px[i] = 401.0f + 1.5f * static_cast<float>(i);
+      std::vector<cf32> ref(px.size()), simd(px.size());
+      k::force_backend(k::Backend::kScalar);
+      k::gbp_contrib_row(px.data(), py.data(), 0.0f, pulse.data(), g,
+                         ref.data(), px.size());
+      k::force_backend(b);
+      k::gbp_contrib_row(px.data(), py.data(), 0.0f, pulse.data(), g,
+                         simd.data(), px.size());
+      for (std::size_t i = 0; i < px.size(); ++i)
+        expect_bits_eq(ref[i], simd[i], "gbp_contrib_row", i);
+    });
+  }
 }
 
 TEST(Kernels, ForceBackendRoundTrip) {
