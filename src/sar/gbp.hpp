@@ -44,14 +44,17 @@ inline cf32 gbp_rotation(float range, double k_phase) {
 
 /// One pulse's contribution to the pixel at slant-plane position (px, py):
 /// exact range, nearest-bin sample, exact carrier-phase compensation.
-/// Returns zero when the range falls outside the swath.
+/// Returns zero when the range falls outside the swath or is not finite.
 inline cf32 gbp_contribution(float px, float py, float pulse_x,
                              const cf32* pulse_row, const GbpGrid& g) {
   const float dx = px - pulse_x;
   const float range = std::sqrt(dx * dx + py * py);
   const float bf = (range - g.r0) * g.inv_dr;
+  // Bounds are checked in float, before the int conversion: a NaN bin or
+  // one past INT_MAX has no int value. For bf >= -0.5 this is the test
+  // int(bf + 0.5f) < n_range, since trunc(x) < N <=> x < N for x >= 0.
+  if (!(bf >= -0.5f && bf + 0.5f < static_cast<float>(g.n_range))) return {};
   const int bin = static_cast<int>(bf + 0.5f);
-  if (bf < -0.5f || bin >= g.n_range) return {};
   return pulse_row[bin] * gbp_rotation(range, g.k_phase);
 }
 

@@ -35,6 +35,7 @@ struct VAvx2 {
   static F cmp_le(F a, F b) { return _mm256_cmp_ps(a, b, _CMP_LE_OQ); }
   static F cmp_gt(F a, F b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
   static F blend(F m, F a, F b) { return _mm256_blendv_ps(b, a, m); }
+  static F and_(F a, F b) { return _mm256_and_ps(a, b); }
   static F xor_(F a, F b) { return _mm256_xor_ps(a, b); }
   static I to_i(F a) { return _mm256_castps_si256(a); }
   static F to_f(I a) { return _mm256_castsi256_ps(a); }
@@ -44,8 +45,6 @@ struct VAvx2 {
   static I set1_i(std::int32_t x) { return _mm256_set1_epi32(x); }
   static F cvt_f(I a) { return _mm256_cvtepi32_ps(a); }
   static I cvt_i(F a) { return _mm256_cvttps_epi32(a); }
-  static I cmp_lt_i(I a, I b) { return _mm256_cmpgt_epi32(b, a); }
-  static I andnot_i(I a, I b) { return _mm256_andnot_si256(a, b); }
   static void store_i(std::int32_t* p, I v) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
   }

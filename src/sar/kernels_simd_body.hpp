@@ -400,7 +400,7 @@ struct SimdKernels {
     const F vinv = V::set1(g.inv_dr);
     const F vhalf = V::set1(0.5f);
     const F vminus_half = V::set1(-0.5f);
-    const I vnr = V::set1_i(g.n_range);
+    const F vnr = V::set1(static_cast<float>(g.n_range));
     std::size_t i = 0;
     float rng[kLanes], c[kLanes], s[kLanes];
     std::int32_t bin[kLanes];
@@ -410,14 +410,13 @@ struct SimdKernels {
       const F pyv = V::load(py + i);
       const F range = V::sqrt(V::add(V::mul(dx, dx), V::mul(pyv, pyv)));
       const F bf = V::mul(V::sub(range, vr0), vinv);
-      const I b = V::cvt_i(V::add(bf, vhalf));
-      // valid = !(bf < -0.5f) && (bin < n_range), exactly the scalar
-      // early-out `if (bf < -0.5f || bin >= g.n_range) return {}`.
-      const I valid = V::andnot_i(V::to_i(V::cmp_lt(bf, vminus_half)),
-                                  V::cmp_lt_i(b, vnr));
+      const F x = V::add(bf, vhalf);
+      // valid = (bf >= -0.5f) && (bf + 0.5f < n_range) in float, exactly
+      // the scalar gbp_contribution test; a NaN lane fails both compares.
+      const F valid = V::and_(V::cmp_le(vminus_half, bf), V::cmp_lt(x, vnr));
       V::store(rng, range);
-      V::store_i(bin, b);
-      V::store_i(ok, valid);
+      V::store_i(bin, V::cvt_i(x));
+      V::store_i(ok, V::to_i(valid));
       const unsigned fast = gbp_phase_quantum(rng, g.k_phase, c, s);
       for (std::size_t l = 0; l < kLanes; ++l) {
         if (ok[l] == 0) continue;

@@ -34,6 +34,7 @@ struct VSse2 {
   static F blend(F m, F a, F b) {
     return _mm_or_ps(_mm_and_ps(m, a), _mm_andnot_ps(m, b));
   }
+  static F and_(F a, F b) { return _mm_and_ps(a, b); }
   static F xor_(F a, F b) { return _mm_xor_ps(a, b); }
   static I to_i(F a) { return _mm_castps_si128(a); }
   static F to_f(I a) { return _mm_castsi128_ps(a); }
@@ -43,8 +44,6 @@ struct VSse2 {
   static I set1_i(std::int32_t x) { return _mm_set1_epi32(x); }
   static F cvt_f(I a) { return _mm_cvtepi32_ps(a); }
   static I cvt_i(F a) { return _mm_cvttps_epi32(a); }
-  static I cmp_lt_i(I a, I b) { return _mm_cmplt_epi32(a, b); }
-  static I andnot_i(I a, I b) { return _mm_andnot_si128(a, b); }
   static void store_i(std::int32_t* p, I v) {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
   }

@@ -35,7 +35,7 @@ public:
   explicit RunManifest(std::string tool) : tool_(std::move(tool)) {}
 
   /// Override the schema tag. The default is "esarp-run-manifest/1"; the
-  /// fleet runtime writes "esarp-serve-manifest/1" (docs/serving.md) with
+  /// fleet runtime writes "esarp-serve-manifest/3" (docs/serving.md) with
   /// the same section layout. esarp_compare accepts any esarp manifest
   /// family, so serve manifests stay diffable.
   void set_schema(std::string schema) { schema_ = std::move(schema); }

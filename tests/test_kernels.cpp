@@ -224,6 +224,36 @@ TEST(Kernels, GbpContribRowMatchesScalarBitForBit) {
       for (std::size_t i = 0; i < n; ++i)
         expect_bits_eq(ref[i], simd[i], "gbp_contrib_row", i);
     }
+
+    // A pixel whose range is NaN, infinite or more than 2^31 bins past r0
+    // adds nothing, both in a full vector quantum (lane 1) and in the
+    // scalar tail (lane 12 of 13: past the last 4- and 8-lane quantum).
+    GbpGrid g{};
+    g.r0 = 1000.0f;
+    g.inv_dr = 1.0f;
+    g.n_range = 64;
+    g.k_phase = 25.0;
+    const std::vector<cf32> pulse(64, cf32{0.5f, 0.25f});
+    const float inf = std::numeric_limits<float>::infinity();
+    constexpr std::size_t n = 13;
+    constexpr std::size_t kGuardLanes[] = {1, n - 1};
+    for (const float guard : {std::numeric_limits<float>::quiet_NaN(), inf,
+                              -inf, 1e30f, 1e15f}) {
+      std::vector<float> px(n), py(n, 0.0f);
+      for (std::size_t i = 0; i < n; ++i)
+        px[i] = 1010.0f + 2.0f * static_cast<float>(i);
+      for (const std::size_t l : kGuardLanes) px[l] = guard;
+      const cf32 start{0.5f, -0.25f};
+      for (const k::Backend run : {k::Backend::kScalar, b}) {
+        std::vector<cf32> acc(n, start);
+        k::force_backend(run);
+        k::gbp_contrib_row(px.data(), py.data(), 3.5f, pulse.data(), g,
+                           acc.data(), n);
+        for (const std::size_t l : kGuardLanes)
+          expect_bits_eq(acc[l], start, "gbp_contrib_row guard", l);
+        EXPECT_FALSE(same_bits(acc[0], start)); // in-swath lanes still add
+      }
+    }
   });
 }
 

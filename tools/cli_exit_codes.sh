@@ -76,9 +76,9 @@ expect 2 "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 \
 expect 2 "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 \
   --shed --shed-priority urgent
 expect 2 "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 \
-  --hedge --hedge-margin -1
+  --hedge
 expect 2 "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 \
-  --probation -1
+  --probation 2
 
 # Every dispatch fail-stops its chip: the whole fleet dies with jobs
 # outstanding and the campaign aborts -> FaultUnrecovered.

@@ -24,11 +24,11 @@
 // `lint` statically analyzes the shipped mappings without running the
 // scheduler (docs/static-analysis.md). `serve` replays an arrival trace
 // through the multi-chip fleet runtime and writes an
-// esarp-serve-manifest/2 (docs/serving.md); overload control (EDF
-// dispatch, admission shedding, hedged attempts, chip probation) is
-// configured per campaign. A fleet that cannot finish every job (all
-// chips dead, or a job out of retries at max degradation) exits 5 like
-// any other unrecovered fault.
+// esarp-serve-manifest/3 (docs/serving.md); overload control (EDF
+// dispatch, admission shedding) is configured per campaign, and a flag
+// `serve` does not know is a usage error. A fleet that cannot finish
+// every job (all chips dead, or a job out of retries at max degradation)
+// exits 5 like any other unrecovered fault.
 //
 // Exit codes (stable, scripted against by CI):
 //   0  success
@@ -42,12 +42,14 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -129,6 +131,13 @@ public:
     auto it = kv_.find(k);
     return it != kv_.end() ? std::stod(it->second) : dflt;
   }
+  /// First flag (without "--") not in `known`; empty when all are known.
+  [[nodiscard]] std::string unknown_flag(
+      std::initializer_list<std::string_view> known) const {
+    for (const auto& [k, v] : kv_)
+      if (std::find(known.begin(), known.end(), k) == known.end()) return k;
+    return "";
+  }
 
 private:
   std::map<std::string, std::string> kv_;
@@ -172,10 +181,8 @@ int usage() {
       "                 [--membits R] [--retry-max N] [--degrade-max N]\n"
       "                 [--backoff S] [--timeout-factor F] [--jobs N]\n"
       "                 [--dispatch edf|fifo] [--shed] [--shed-factor F]\n"
-      "                 [--shed-priority low|normal|high] [--hedge]\n"
-      "                 [--hedge-margin F] [--hedge-priority low|normal|"
-      "high]\n"
-      "                 [--probation N] [--metrics m.json]\n";
+      "                 [--shed-priority low|normal|high]"
+      " [--metrics m.json]\n";
   return kExitUsage;
 }
 
@@ -885,6 +892,14 @@ int serve_usage_error(const std::string& msg) {
 }
 
 int cmd_serve(const Args& args) {
+  const std::string unknown = args.unknown_flag(
+      {"trace", "gen", "jobs-count", "rate", "burst-mean", "pulses", "range",
+       "cores", "algo", "deadline", "priority-mix", "deadline-jitter",
+       "trace-out", "chips", "seed", "chip-kill", "dma-corrupt", "dma-drop",
+       "noc-stall", "membits", "retry-max", "degrade-max", "backoff",
+       "timeout-factor", "jobs", "dispatch", "shed", "shed-factor",
+       "shed-priority", "metrics"});
+  if (!unknown.empty()) return serve_usage_error("unknown flag --" + unknown);
   const std::string trace_path = args.str("trace");
   const std::string gen = args.str("gen");
   if (args.has("trace") && trace_path.empty()) return usage();
@@ -977,18 +992,6 @@ int cmd_serve(const Args& args) {
       fc.policy.shed.max_shed_priority =
           serve::priority_from_string(args.str("shed-priority"));
     }
-    fc.policy.hedge.enabled = args.has("hedge");
-    fc.policy.hedge.margin_factor = args.real("hedge-margin", 2.0);
-    if (fc.policy.hedge.margin_factor <= 0.0)
-      return serve_usage_error("--hedge-margin must be > 0");
-    if (args.has("hedge-priority")) {
-      fc.policy.hedge.min_priority =
-          serve::priority_from_string(args.str("hedge-priority"));
-    }
-    fc.policy.probation_clean_limit =
-        static_cast<int>(args.num("probation", 0));
-    if (fc.policy.probation_clean_limit < 0)
-      return serve_usage_error("--probation must be >= 0");
   } catch (const std::invalid_argument& e) {
     return serve_usage_error(std::string("bad flag value: ") + e.what());
   } catch (const std::out_of_range& e) {
@@ -1048,17 +1051,6 @@ int cmd_serve(const Args& args) {
   t.row({"chip kills / timeouts / checksum fails",
          std::to_string(c.chip_kills) + " / " + std::to_string(c.timeouts) +
              " / " + std::to_string(c.checksum_failures)});
-  if (fc.policy.hedge.enabled) {
-    t.row({"hedges launched / wins / wasted",
-           std::to_string(c.hedges_launched) + " / " +
-               std::to_string(c.hedge_wins) + " / " +
-               std::to_string(c.hedge_wasted)});
-  }
-  if (fc.policy.probation_clean_limit > 0) {
-    t.row({"chip probations / recoveries",
-           std::to_string(c.chip_probations) + " / " +
-               std::to_string(c.chip_recoveries)});
-  }
   t.row({"fleet makespan", format_seconds(rep.makespan_s)});
   std::size_t alive = 0;
   for (const serve::ChipStatus& cs : rep.chips)
