@@ -187,6 +187,13 @@ struct KernelInputs {
   float cr = 2.0f * 8.0f * 0.1f;
   float d2 = 64.0f;
   float inv_2d = 1.0f / 16.0f;
+  // nearest_index_row: that geometry row against a child grid covering
+  // only part of its ranges and angles, so valid and -1 lanes mix inside
+  // full vectors.
+  std::vector<sar::MergeGeom> geom;
+  sar::ChildGrid child{};
+  float shift1 = -0.15f;
+  float shift2 = 0.15f;
   // neville4_many / neville4_rows.
   cf32 y[4] = {};
   std::vector<float> t;
@@ -208,6 +215,16 @@ const KernelInputs& kernel_inputs() {
     auto cpx = [&rng] {
       return cf32{rng.uniform_f(-1.0f, 1.0f), rng.uniform_f(-1.0f, 1.0f)};
     };
+    in.geom.resize(kKernelSamples);
+    for (std::size_t i = 0; i < kKernelSamples; ++i)
+      in.geom[i] = sar::merge_geometry(
+          in.r0 + static_cast<float>(i) * in.dr, in.cr, in.d2, in.inv_2d);
+    in.child.theta_start = 1.46f;
+    in.child.inv_dtheta = 1.0f / 0.002f;
+    in.child.n_theta = 8;
+    in.child.r0 = 4600.0f;
+    in.child.inv_dr = 1.0f / in.dr;
+    in.child.n_range = 512;
     for (auto& v : in.y) v = cpx();
     in.t.resize(kKernelSamples);
     for (auto& v : in.t) v = rng.uniform_f(0.2f, 2.8f);
@@ -233,6 +250,7 @@ const KernelInputs& kernel_inputs() {
 /// the kernels, not the allocator.
 struct KernelScratch {
   std::vector<sar::MergeGeom> geom;
+  sar::NearestIndexRow idx{kKernelSamples};
   std::vector<cf32> c;
   std::vector<float> f;
 };
@@ -253,6 +271,12 @@ ByteView run_merge_geometry_row(const KernelInputs& in, KernelScratch& s) {
   kn::merge_geometry_row(in.r0, in.dr, 0, kKernelSamples, in.cr, in.d2,
                          in.inv_2d, s.geom.data());
   return as_bytes(s.geom);
+}
+
+ByteView run_nearest_index_row(const KernelInputs& in, KernelScratch& s) {
+  kn::nearest_index_row(in.geom.data(), kKernelSamples, in.child, in.shift1,
+                        in.shift2, s.idx);
+  return as_bytes(s.idx.planes);
 }
 
 ByteView run_neville4_many(const KernelInputs& in, KernelScratch& s) {
@@ -293,9 +317,10 @@ struct KernelCase {
   ByteView (*run)(const KernelInputs&, KernelScratch&);
 };
 
-const std::array<KernelCase, 5>& kernel_cases() {
-  static const std::array<KernelCase, 5> cases = {{
+const std::array<KernelCase, 6>& kernel_cases() {
+  static const std::array<KernelCase, 6> cases = {{
       {"merge_geometry_row", true, run_merge_geometry_row},
+      {"nearest_index_row", true, run_nearest_index_row},
       {"neville4_many", true, run_neville4_many},
       {"neville4_rows", true, run_neville4_rows},
       {"criterion_terms", true, run_criterion_terms},
@@ -370,7 +395,7 @@ void register_kernel_rows() {
 /// therefore fails the bench and CI — on any mismatch.
 int kernels_manifest_body() {
   const KernelInputs& in = kernel_inputs();
-  const std::array<KernelCase, 5>& cases = kernel_cases();
+  const std::array<KernelCase, 6>& cases = kernel_cases();
   const kn::Backend session = kn::active();
 
   telemetry::MetricsRegistry reg;

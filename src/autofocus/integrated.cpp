@@ -277,25 +277,22 @@ IntegratedResult ffbp_with_autofocus(const Array2D<cf32>& data,
   const std::size_t n_levels = p.merge_levels();
 
   for (std::size_t level = 1; level <= n_levels; ++level) {
-    std::vector<sar::SubapertureImage> next;
-    next.reserve(current.size() / 2);
-    for (std::size_t i = 0; i + 1 < current.size(); i += 2) {
-      float shift = 0.0f;
-      double gain = 1.0;
-      if (level >= opt.first_level) {
-        const PairEstimate est = estimate_pair_shift(
-            current[i], current[i + 1], p, opt, &res.ops, &res.sweeps_run);
+    // Every pair's shift is estimated from the children before any merge,
+    // so the whole level then merges in one pass.
+    std::vector<float> shifts(current.size() / 2, 0.0f);
+    if (level >= opt.first_level) {
+      for (std::size_t k = 0; k < shifts.size(); ++k) {
+        const PairEstimate est =
+            estimate_pair_shift(current[2 * k], current[2 * k + 1], p, opt,
+                                &res.ops, &res.sweeps_run);
         // Confidence gate: a decisive criterion peak is required before
         // touching the data (paper: the *best possible match* is chosen —
         // if zero shift already matches, nothing is compensated).
-        shift = est.applied(opt.min_gain);
-        gain = est.gain;
-        res.corrections.push_back({level, i / 2, shift, gain});
+        shifts[k] = est.applied(opt.min_gain);
+        res.corrections.push_back({level, k, shifts[k], est.gain});
       }
-      next.push_back(sar::merge_pair_compensated(
-          current[i], current[i + 1], p, opt.ffbp, shift, &res.ops));
     }
-    current = std::move(next);
+    current = sar::merge_level(current, p, opt.ffbp, shifts, &res.ops);
   }
 
   ESARP_ENSURES(current.size() == 1);

@@ -1,6 +1,7 @@
 #include "core/ffbp_epiphany.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/assert.hpp"
 #include "common/fastmath.hpp"
@@ -31,7 +32,58 @@ struct SharedState {
   // to repartition the unfinished work (docs/fault-injection.md).
   std::vector<std::span<std::uint32_t>> row_done;
   std::vector<std::span<std::uint32_t>> af_done;
+  // Host-side scratch, like each core's index row: the merge geometry rows
+  // of `geom_level`, indexed by parent theta row and filled on first use.
+  // A row depends only on (level, theta row) — the chip uses the nominal
+  // track's d — so every subaperture pair of the level shares it
+  // (sar/merge_kernel.hpp). The simulated timeline is untouched: each row
+  // is still charged its full kMergeRowOps + per-pixel geometry work.
+  std::size_t geom_level = 0;
+  std::unique_ptr<sar::MergeGeom[]> geom;
+  std::vector<std::uint8_t> geom_ready;
 };
+
+/// Point the shared geometry table at `level`. Every core calls this on
+/// entering a level; the first one resets the table, which is safe because
+/// a barrier ends every level, so no core still reads the previous one. The
+/// last level has one subaperture, hence no reuse: its table is freed and
+/// geometry_row computes into the caller's scratch instead.
+void enter_geom_level(SharedState& st, const sar::RadarParams& p,
+                      std::size_t level) {
+  if (st.geom_level == level) return;
+  st.geom_level = level;
+  if (level == p.merge_levels()) {
+    st.geom.reset();
+    st.geom_ready = {};
+    return;
+  }
+  // Sized once for the largest table, the level before the last with
+  // n_pulses / 2 rows, and never copied: a row is paged in when first
+  // written.
+  if (!st.geom)
+    st.geom = std::make_unique_for_overwrite<sar::MergeGeom[]>(
+        p.n_pulses / 2 * p.n_range);
+  st.geom_ready.assign(std::size_t{1} << level, 0);
+}
+
+/// The geometry row of parent theta row `ti` at the current level.
+std::span<const sar::MergeGeom> geometry_row(
+    SharedState& st, const sar::RadarParams& p,
+    const sar::MergeLevelGeom& geom, std::size_t ti,
+    std::vector<sar::MergeGeom>& scratch) {
+  const std::size_t n_range = p.n_range;
+  const bool shared = st.geom != nullptr;
+  sar::MergeGeom* row = shared ? &st.geom[ti * n_range] : scratch.data();
+  if (!shared || st.geom_ready[ti] == 0) {
+    const float theta = geom.theta_of_row(p, ti);
+    const float cr = 2.0f * geom.d * fastmath::poly_cos(theta);
+    sar::kernels::merge_geometry_row(static_cast<float>(p.near_range_m),
+                                     static_cast<float>(p.range_bin_m), 0,
+                                     n_range, cr, geom.d2, geom.inv_2d, row);
+    if (shared) st.geom_ready[ti] = 1;
+  }
+  return {row, n_range};
+}
 
 /// Rebuild a child subaperture (level `lvl`, index `subap`) from its SDRAM
 /// level buffer, with the exact phase-centre the host factorisation
@@ -55,19 +107,21 @@ sar::SubapertureImage load_subaperture(std::span<const cf32> src,
   return s;
 }
 
-/// Merge one parent output row (paper eq. 5) into `out_row`: sample both
-/// children of subaperture `subap` at every range bin. Child theta rows
-/// `pre1` / `pre2` come from their prefetched local copies `buf1` / `buf2`
-/// (-1: nothing prefetched); every other sample is read straight from the
-/// SDRAM level buffer `src`. Returns the number of those SDRAM misses, out
-/// of 2 * n_range fetches. A plain function, not inline code in the core
-/// coroutines, so the fetchers inline into the sampling loop.
-std::uint64_t merge_row(const sar::MergeLevelGeom& geom,
-                        const sar::FfbpOptions& algo, float r0f, float drf,
-                        float cr, float af_shift, std::span<const cf32> src,
+/// Merge one parent output row (paper eq. 5) into `out_row` from its
+/// geometry row: sample both children of subaperture `subap` at every range
+/// bin. Child theta rows `pre1` / `pre2` come from their prefetched local
+/// copies `buf1` / `buf2` (-1: nothing prefetched); every other sample is
+/// read straight from the SDRAM level buffer `src`. Returns the number of
+/// those SDRAM misses, out of 2 * n_range fetches. A plain function, not
+/// inline code in the core coroutines, so the fetchers inline into the
+/// gather loop.
+std::uint64_t merge_row(const sar::ChildGrid& grid,
+                        const sar::FfbpOptions& algo, float drf,
+                        std::span<const sar::MergeGeom> geom_row,
+                        float af_shift, std::span<const cf32> src,
                         const LevelLayout& lc, std::size_t subap,
                         const cf32* buf1, int pre1, const cf32* buf2,
-                        int pre2, std::span<sar::MergeGeom> geom_row,
+                        int pre2, sar::NearestIndexRow& idx,
                         std::span<cf32> out_row) {
   const std::size_t child1 = 2 * subap;
   const std::size_t child2 = 2 * subap + 1;
@@ -87,21 +141,8 @@ std::uint64_t merge_row(const sar::MergeLevelGeom& geom,
 
   // Per-pair autofocus compensation (0 when disabled; adding the resulting
   // -0.0f keeps the plain path bit-identical).
-  const float shift_a = -0.5f * af_shift * drf;
-  const float shift_b = 0.5f * af_shift * drf;
-  const std::size_t n_range = out_row.size();
-  sar::kernels::merge_geometry_row(r0f, drf, 0, n_range, cr, geom.d2,
-                                   geom.inv_2d, geom_row.data());
-  for (std::size_t j = 0; j < n_range; ++j) {
-    const sar::MergeGeom& g = geom_row[j];
-    const cf32 v1 = sar::sample_child(geom.child, g.r1 + shift_a, g.theta1,
-                                      algo.interp, algo.phase_compensate,
-                                      fetch1);
-    const cf32 v2 = sar::sample_child(geom.child, g.r2 + shift_b, g.theta2,
-                                      algo.interp, algo.phase_compensate,
-                                      fetch2);
-    out_row[j] = v1 + v2;
-  }
+  sar::merge_parent_row(grid, algo, geom_row, -0.5f * af_shift * drf,
+                        0.5f * af_shift * drf, idx, fetch1, fetch2, out_row);
   return misses;
 }
 
@@ -128,9 +169,11 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
   const OpCounts pixel_ops = sar::merge_pixel_ops(algo);
   const float r0f = static_cast<float>(p.near_range_m);
   const float drf = static_cast<float>(p.range_bin_m);
-  // Host-side scratch for the row's cosine-theorem geometry; the simulated
-  // local-store budget is unaffected (the geometry never lived in a bank).
-  std::vector<sar::MergeGeom> geom_row(n_range);
+  // Host-side scratch for the last level's geometry rows and every row's
+  // child indices; the simulated local-store budget is unaffected (neither
+  // ever lived in a bank).
+  std::vector<sar::MergeGeom> geom_scratch(n_range);
+  sar::NearestIndexRow idx(n_range);
 
   std::span<cf32> src = st.buf_a;
   std::span<cf32> dst = st.buf_b;
@@ -141,6 +184,7 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
     const LevelLayout lp = LevelLayout::at(p, level);
     const sar::MergeLevelGeom geom = sar::merge_level_geom(p, level);
     const sar::ChildGrid& grid = geom.child;
+    enter_geom_level(st, p, level);
 
     const std::size_t rows_total = lp.rows_total();
     const std::size_t n = static_cast<std::size_t>(opt.n_cores);
@@ -245,8 +289,6 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
     for (std::size_t gr = begin; gr < end; ++gr) {
       const std::size_t subap = gr / lp.n_theta;
       const std::size_t ti = gr % lp.n_theta;
-      const float theta = geom.theta_of_row(p, ti);
-      const float cr = 2.0f * geom.d * fastmath::poly_cos(theta);
 
       // Obtain the prefetched child rows for this row.
       int pre1 = -1;
@@ -283,9 +325,9 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
 
       const float af_shift =
           opt.autofocus != nullptr ? st.shifts[subap] : 0.0f;
-      const std::uint64_t misses =
-          merge_row(geom, algo, r0f, drf, cr, af_shift, src, lc, subap, buf1,
-                    pre1, buf2, pre2, geom_row, out_row);
+      const std::uint64_t misses = merge_row(
+          grid, algo, drf, geometry_row(st, p, geom, ti, geom_scratch),
+          af_shift, src, lc, subap, buf1, pre1, buf2, pre2, idx, out_row);
 
       co_await ctx.compute(static_cast<std::uint64_t>(n_range) * pixel_ops +
                            sar::kMergeRowOps);
@@ -373,8 +415,9 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
   const OpCounts pixel_ops = sar::merge_pixel_ops(algo);
   const float r0f = static_cast<float>(p.near_range_m);
   const float drf = static_cast<float>(p.range_bin_m);
-  // Host-side geometry scratch, as in the plain program.
-  std::vector<sar::MergeGeom> geom_row(n_range);
+  // Host-side scratch, as in the plain program.
+  std::vector<sar::MergeGeom> geom_scratch(n_range);
+  sar::NearestIndexRow idx(n_range);
 
   std::span<cf32> src = st.buf_a;
   std::span<cf32> dst = st.buf_b;
@@ -385,6 +428,7 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
     const LevelLayout lp = LevelLayout::at(p, level);
     const sar::MergeLevelGeom geom = sar::merge_level_geom(p, level);
     const sar::ChildGrid& grid = geom.child;
+    enter_geom_level(st, p, level);
     const std::size_t rows_total = lp.rows_total();
 
     // --- Autofocus phase. Level entry is a uniform instant (launch or the
@@ -517,8 +561,6 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
         const std::size_t gr = gr32;
         const std::size_t subap = gr / lp.n_theta;
         const std::size_t ti = gr % lp.n_theta;
-        const float theta = geom.theta_of_row(p, ti);
-        const float cr = 2.0f * geom.d * fastmath::poly_cos(theta);
         const std::size_t child1 = 2 * subap;
         const std::size_t child2 = 2 * subap + 1;
 
@@ -544,9 +586,9 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
         const float af_shift =
             opt.autofocus != nullptr ? st.shifts[subap] : 0.0f;
         const std::uint64_t misses = merge_row(
-            geom, algo, r0f, drf, cr, af_shift, src, lc, subap,
-            child_row1.data(), pre1, child_row2.data(), pre2, geom_row,
-            out_row);
+            grid, algo, drf, geometry_row(st, p, geom, ti, geom_scratch),
+            af_shift, src, lc, subap, child_row1.data(), pre1,
+            child_row2.data(), pre2, idx, out_row);
 
         co_await ctx.compute(static_cast<std::uint64_t>(n_range) * pixel_ops +
                              sar::kMergeRowOps);
@@ -630,11 +672,13 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
     }
   }
 
-  // Load level 0 into SDRAM (range-phase referenced, like the reference).
-  const auto level0 = sar::initial_subapertures(data, p);
+  // Load level 0 into SDRAM, range-phase referenced exactly as
+  // sar::initial_subapertures does on the nominal track.
+  ESARP_EXPECTS(data.rows() == p.n_pulses && data.cols() == p.n_range);
+  const std::vector<cf32> phase = sar::range_phase_table(p);
   for (std::size_t pu = 0; pu < p.n_pulses; ++pu)
-    std::copy(level0[pu].data.row(0).begin(), level0[pu].data.row(0).end(),
-              st.buf_a.begin() + static_cast<std::ptrdiff_t>(pu * p.n_range));
+    for (std::size_t j = 0; j < p.n_range; ++j)
+      st.buf_a[pu * p.n_range + j] = data(pu, j) * phase[j];
 
   for (int c = 0; c < opt.n_cores; ++c) {
     m.launch(c, [&p, &opt, &st, c, fault_mode](ep::CoreCtx& ctx) {

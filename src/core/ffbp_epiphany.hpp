@@ -1,8 +1,8 @@
 // FFBP on the simulated Epiphany chip.
 //
 // Two variants, both of which execute the *same* inner arithmetic as the
-// sequential host reference (sar::merge_geometry / sar::sample_child), so
-// the produced image is bit-identical to sar::ffbp with equal options:
+// sequential host reference (sar::merge_geometry / sar::merge_parent_row),
+// so the produced image is bit-identical to sar::ffbp with equal options:
 //
 //  - sequential (1 core): the complete algorithm on one core, all level
 //    data in off-chip SDRAM accessed with blocking per-pixel reads — the

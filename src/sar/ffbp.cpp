@@ -1,6 +1,8 @@
 #include "sar/ffbp.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -99,6 +101,117 @@ MergeLevelGeom merge_level_geom(const RadarParams& p, std::size_t level) {
   return g;
 }
 
+namespace {
+
+/// One subaperture pair of a level and its flight-path compensation.
+struct PairRef {
+  const SubapertureImage* a;
+  const SubapertureImage* b;
+  float shift_bins;
+};
+
+/// merge_level over explicit pairs; merge_pair_compensated is its one-pair
+/// case.
+std::vector<SubapertureImage> merge_pairs(std::span<const PairRef> pairs,
+                                          const RadarParams& p,
+                                          const FfbpOptions& opt,
+                                          OpCounts* tally) {
+  ESARP_EXPECTS(!opt.phase_compensate || opt.interp == Interp::kNearest);
+  std::vector<SubapertureImage> parents(pairs.size());
+  if (pairs.empty()) return parents;
+  const std::size_t n_theta_c = pairs.front().a->n_theta();
+  const std::size_t n_theta_p = 2 * n_theta_c;
+
+  // Child phase centres sit at -d and +d from the parent centre, where
+  // 2d = child spacing = child aperture length (paper's l/2 with l the
+  // child subaperture length).
+  std::vector<float> d(pairs.size());
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    const SubapertureImage& a = *pairs[k].a;
+    const SubapertureImage& b = *pairs[k].b;
+    ESARP_EXPECTS(a.level == b.level);
+    ESARP_EXPECTS(a.n_pulses == b.n_pulses);
+    ESARP_EXPECTS(a.first_pulse + a.n_pulses == b.first_pulse); // adjacent
+    ESARP_EXPECTS(a.n_range() == p.n_range && b.n_range() == p.n_range);
+    ESARP_EXPECTS(a.n_theta() == n_theta_c && b.n_theta() == n_theta_c);
+
+    SubapertureImage& parent = parents[k];
+    parent.level = a.level + 1;
+    parent.first_pulse = a.first_pulse;
+    parent.n_pulses = 2 * a.n_pulses;
+    parent.x_center = 0.5 * (a.x_center + b.x_center);
+    parent.data = Array2D<cf32>(n_theta_p, p.n_range);
+    d[k] = static_cast<float>(0.5 * (b.x_center - a.x_center));
+  }
+
+  const PolarGrid pg(p, n_theta_p);
+  const ChildGrid grid = make_child_grid(p, n_theta_c);
+  const float r0f = static_cast<float>(p.near_range_m);
+  const float drf = static_cast<float>(p.range_bin_m);
+  // The cosine-theorem geometry of a whole row goes through the kernel
+  // backend (vectorized when available, bit-identical either way); the
+  // data-dependent child gather stays scalar.
+  std::vector<MergeGeom> geom_row(p.n_range);
+  NearestIndexRow idx(p.n_range);
+  for (std::size_t i = 0; i < n_theta_p; ++i) {
+    const float cos_theta =
+        fastmath::poly_cos(static_cast<float>(pg.theta_of(i)));
+    bool have_row = false;
+    float row_d = 0.0f;
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      if (!have_row || std::bit_cast<std::uint32_t>(d[k]) !=
+                           std::bit_cast<std::uint32_t>(row_d)) {
+        row_d = d[k];
+        have_row = true;
+        kernels::merge_geometry_row(r0f, drf, 0, p.n_range,
+                                    2.0f * row_d * cos_theta, row_d * row_d,
+                                    1.0f / (2.0f * row_d), geom_row.data());
+      }
+      const auto va = pairs[k].a->data.view();
+      const auto vb = pairs[k].b->data.view();
+      const auto fetch_a = [&](int it, int ir) -> cf32 {
+        return va(static_cast<std::size_t>(it), static_cast<std::size_t>(ir));
+      };
+      const auto fetch_b = [&](int it, int ir) -> cf32 {
+        return vb(static_cast<std::size_t>(it), static_cast<std::size_t>(ir));
+      };
+      // Flight-path compensation: realign the children by -/+ half the
+      // tested shift along range (0 for the plain merge; adding the
+      // resulting zero offset keeps the arithmetic bit-identical to the
+      // uncompensated path).
+      const float shift_bins = pairs[k].shift_bins;
+      merge_parent_row(grid, opt, geom_row, -0.5f * shift_bins * drf,
+                       0.5f * shift_bins * drf, idx, fetch_a, fetch_b,
+                       parents[k].data.row(i));
+    }
+  }
+
+  if (tally) {
+    const std::uint64_t pixels =
+        static_cast<std::uint64_t>(n_theta_p) * p.n_range;
+    *tally += pairs.size() * (pixels * merge_pixel_ops(opt) +
+                              static_cast<std::uint64_t>(n_theta_p) *
+                                  kMergeRowOps);
+  }
+  return parents;
+}
+
+} // namespace
+
+std::vector<SubapertureImage> merge_level(
+    std::span<const SubapertureImage> children, const RadarParams& p,
+    const FfbpOptions& opt, std::span<const float> shift_bins,
+    OpCounts* tally) {
+  ESARP_EXPECTS(children.size() % 2 == 0);
+  ESARP_EXPECTS(shift_bins.empty() ||
+                shift_bins.size() == children.size() / 2);
+  std::vector<PairRef> pairs(children.size() / 2);
+  for (std::size_t k = 0; k < pairs.size(); ++k)
+    pairs[k] = {&children[2 * k], &children[2 * k + 1],
+                shift_bins.empty() ? 0.0f : shift_bins[k]};
+  return merge_pairs(pairs, p, opt, tally);
+}
+
 SubapertureImage merge_pair(const SubapertureImage& a,
                             const SubapertureImage& b, const RadarParams& p,
                             const FfbpOptions& opt, OpCounts* tally) {
@@ -110,77 +223,8 @@ SubapertureImage merge_pair_compensated(const SubapertureImage& a,
                                         const RadarParams& p,
                                         const FfbpOptions& opt,
                                         float shift_bins, OpCounts* tally) {
-  ESARP_EXPECTS(a.level == b.level);
-  ESARP_EXPECTS(a.n_pulses == b.n_pulses);
-  ESARP_EXPECTS(a.first_pulse + a.n_pulses == b.first_pulse); // adjacent
-  ESARP_EXPECTS(a.n_range() == p.n_range && b.n_range() == p.n_range);
-  ESARP_EXPECTS(!opt.phase_compensate || opt.interp == Interp::kNearest);
-
-  SubapertureImage parent;
-  parent.level = a.level + 1;
-  parent.first_pulse = a.first_pulse;
-  parent.n_pulses = 2 * a.n_pulses;
-  parent.x_center = 0.5 * (a.x_center + b.x_center);
-  const std::size_t n_theta_p = 2 * a.n_theta();
-  parent.data = Array2D<cf32>(n_theta_p, p.n_range);
-
-  const PolarGrid pg(p, n_theta_p);
-  const PolarGrid cg(p, a.n_theta());
-
-  // Child phase centres sit at -d and +d from the parent centre, where
-  // 2d = child spacing = child aperture length (paper's l/2 with l the
-  // child subaperture length).
-  const float d = static_cast<float>(0.5 * (b.x_center - a.x_center));
-  const float d2 = d * d;
-  const float inv_2d = 1.0f / (2.0f * d);
-
-  const ChildGrid grid = make_child_grid(p, cg.n_theta);
-
-  const auto va = a.data.view();
-  const auto vb = b.data.view();
-  const auto fetch_a = [&](int it, int ir) -> cf32 {
-    return va(static_cast<std::size_t>(it), static_cast<std::size_t>(ir));
-  };
-  const auto fetch_b = [&](int it, int ir) -> cf32 {
-    return vb(static_cast<std::size_t>(it), static_cast<std::size_t>(ir));
-  };
-
-  const float r0f = static_cast<float>(p.near_range_m);
-  const float drf = static_cast<float>(p.range_bin_m);
-  // Flight-path compensation: realign the children by -/+ half the tested
-  // shift along range (0 for the plain merge; adding a zero offset keeps
-  // the arithmetic bit-identical to the uncompensated path).
-  const float shift_a = -0.5f * shift_bins * drf;
-  const float shift_b = 0.5f * shift_bins * drf;
-  // The cosine-theorem geometry of a whole row goes through the kernel
-  // backend (vectorized when available, bit-identical either way); the
-  // data-dependent child sampling stays scalar.
-  std::vector<MergeGeom> geom_row(p.n_range);
-  for (std::size_t i = 0; i < n_theta_p; ++i) {
-    const float theta = static_cast<float>(pg.theta_of(i));
-    const float cr = 2.0f * d * fastmath::poly_cos(theta);
-    auto out = parent.data.row(i);
-    kernels::merge_geometry_row(r0f, drf, 0, p.n_range, cr, d2, inv_2d,
-                                geom_row.data());
-    for (std::size_t j = 0; j < p.n_range; ++j) {
-      const MergeGeom& g = geom_row[j];
-      const cf32 v1 = sample_child(grid, g.r1 + shift_a, g.theta1,
-                                   opt.interp, opt.phase_compensate,
-                                   fetch_a);
-      const cf32 v2 = sample_child(grid, g.r2 + shift_b, g.theta2,
-                                   opt.interp, opt.phase_compensate,
-                                   fetch_b);
-      out[j] = v1 + v2; // paper eq. 5
-    }
-  }
-
-  if (tally) {
-    const std::uint64_t pixels =
-        static_cast<std::uint64_t>(n_theta_p) * p.n_range;
-    *tally += pixels * merge_pixel_ops(opt) +
-              static_cast<std::uint64_t>(n_theta_p) * kMergeRowOps;
-  }
-  return parent;
+  const PairRef pair{&a, &b, shift_bins};
+  return std::move(merge_pairs({&pair, 1}, p, opt, tally).front());
 }
 
 FfbpResult ffbp(const Array2D<cf32>& data, const RadarParams& p,
@@ -193,14 +237,10 @@ FfbpResult ffbp(const Array2D<cf32>& data, const RadarParams& p,
   for (std::size_t level = 1; level <= n_levels; ++level) {
     LevelStats ls;
     ls.level = level;
-    std::vector<SubapertureImage> next;
-    next.reserve(current.size() / 2);
-    for (std::size_t i = 0; i + 1 < current.size(); i += 2) {
-      next.push_back(
-          merge_pair(current[i], current[i + 1], p, opt, &ls.ops));
-      ++ls.merges;
-      ls.pixels += next.back().data.size();
-    }
+    std::vector<SubapertureImage> next =
+        merge_level(current, p, opt, {}, &ls.ops);
+    ls.merges = next.size();
+    for (const SubapertureImage& s : next) ls.pixels += s.data.size();
     res.ops += ls.ops;
     res.levels.push_back(ls);
     current = std::move(next);

@@ -16,12 +16,16 @@
 // compensation).
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/array2d.hpp"
+#include "common/assert.hpp"
 #include "common/opcounts.hpp"
 #include "common/types.hpp"
 #include "hostmodel/host_model.hpp"
+#include "sar/kernels.hpp"
 #include "sar/merge_kernel.hpp"
 #include "sar/params.hpp"
 #include "sar/polar.hpp"
@@ -100,6 +104,59 @@ struct MergeLevelGeom {
 [[nodiscard]] MergeLevelGeom merge_level_geom(const RadarParams& p,
                                               std::size_t level);
 
+/// One parent row of a merge (paper eq. 5): out[j] = child-1 sample +
+/// child-2 sample at the geometry geom[j], the children realigned by the
+/// per-pair range offsets shift1 / shift2 (metres, added to r1 / r2).
+/// `fetch1` / `fetch2` follow sample_child's fetch contract. The one
+/// definition of the per-pixel merge: sar::merge_level and the simulated
+/// chip kernels instantiate it with different fetchers and produce
+/// bit-identical rows. The plain nearest-neighbour merge splits into the
+/// vectorised index pass (kernels::nearest_index_row, into `idx`) and a
+/// gather; the other variants sample through sample_child.
+template <typename Fetch1, typename Fetch2>
+inline void merge_parent_row(const ChildGrid& g, const FfbpOptions& opt,
+                             std::span<const MergeGeom> geom, float shift1,
+                             float shift2, NearestIndexRow& idx,
+                             Fetch1&& fetch1, Fetch2&& fetch2,
+                             std::span<cf32> out) {
+  const std::size_t n = out.size();
+  ESARP_EXPECTS(geom.size() >= n);
+  if (opt.interp == Interp::kNearest && !opt.phase_compensate) {
+    kernels::nearest_index_row(geom.data(), n, g, shift1, shift2, idx);
+    const std::int32_t* it1 = idx.it1();
+    const std::int32_t* ir1 = idx.ir1();
+    const std::int32_t* it2 = idx.it2();
+    const std::int32_t* ir2 = idx.ir2();
+    for (std::size_t j = 0; j < n; ++j) {
+      const cf32 v1 = it1[j] >= 0 ? fetch1(it1[j], ir1[j]) : cf32{};
+      const cf32 v2 = it2[j] >= 0 ? fetch2(it2[j], ir2[j]) : cf32{};
+      out[j] = v1 + v2;
+    }
+    return;
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    const MergeGeom& m = geom[j];
+    const cf32 v1 = sample_child(g, m.r1 + shift1, m.theta1, opt.interp,
+                                 opt.phase_compensate, fetch1);
+    const cf32 v2 = sample_child(g, m.r2 + shift2, m.theta2, opt.interp,
+                                 opt.phase_compensate, fetch2);
+    out[j] = v1 + v2;
+  }
+}
+
+/// Merge every adjacent pair (children[2k], children[2k+1]) of one level
+/// into its parent (paper eqs. 1-5). `shift_bins` is empty (no
+/// compensation) or holds one flight-path compensation per pair, as in
+/// merge_pair_compensated. The theta-row loop runs outside the pair loop:
+/// one geometry row serves every pair whose child half-spacing d has the
+/// same float bits (every pair of a nominal track; a recorded track gives
+/// each pair its own d). `tally`, if non-null, accumulates the counted
+/// work, which does not depend on the sharing.
+[[nodiscard]] std::vector<SubapertureImage>
+merge_level(std::span<const SubapertureImage> children, const RadarParams& p,
+            const FfbpOptions& opt, std::span<const float> shift_bins = {},
+            OpCounts* tally = nullptr);
+
 /// Merge two adjacent subapertures into their parent (paper eqs. 1-5).
 /// `tally`, if non-null, accumulates the counted work.
 [[nodiscard]] SubapertureImage merge_pair(const SubapertureImage& a,
@@ -113,7 +170,8 @@ struct MergeLevelGeom {
 /// child images (paper Section II-A); the compensated merge samples the
 /// trailing child at -shift/2 and the leading child at +shift/2 range
 /// bins, realigning the contributions before the addition of eq. 5.
-/// shift_bins == 0 reduces exactly to merge_pair.
+/// shift_bins == 0 reduces exactly to merge_pair. Both are the one-pair
+/// case of merge_level.
 [[nodiscard]] SubapertureImage merge_pair_compensated(
     const SubapertureImage& a, const SubapertureImage& b,
     const RadarParams& p, const FfbpOptions& opt, float shift_bins,

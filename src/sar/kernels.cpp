@@ -102,6 +102,14 @@ void merge_geometry_row(float r0, float dr, std::size_t j0, std::size_t n,
   dispatch().table->merge_geometry_row(r0, dr, j0, n, cr, d2, inv_2d, out);
 }
 
+void nearest_index_row(const MergeGeom* geom, std::size_t n,
+                       const ChildGrid& g, float shift1, float shift2,
+                       NearestIndexRow& out) {
+  ESARP_EXPECTS(n <= out.n);
+  dispatch().table->nearest_index_row(geom, n, g, shift1, shift2, out.it1(),
+                                      out.ir1(), out.it2(), out.ir2());
+}
+
 void neville4_many(const cf32 y[4], const float* t, cf32* out,
                    std::size_t n) {
   dispatch().table->neville4_many(y, t, out, n);

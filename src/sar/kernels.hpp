@@ -53,6 +53,21 @@ void force_backend(Backend b);
 void merge_geometry_row(float r0, float dr, std::size_t j0, std::size_t n,
                         float cr, float d2, float inv_2d, MergeGeom* out);
 
+/// Nearest-neighbour child indices of one parent row, the index half of
+/// the plain (no phase compensation) kNearest merge: for i < n,
+///   nearest_child_index(g, geom[i].r1 + shift1, geom[i].theta1,
+///                       out.it1()[i], out.ir1()[i])
+/// and the same for child 2 with r2, shift2, theta2. Entries are -1 where
+/// the contribution is zero; validity is decided in float before any int
+/// conversion, so NaN, infinite and huge coordinates give -1 in every
+/// backend. Callers then only gather and add (sar::merge_parent_row).
+/// `geom` is a row shared across subaperture pairs (see the sharing
+/// contract in sar/merge_kernel.hpp); the shifts are the only per-pair
+/// inputs. Requires n <= out.n.
+void nearest_index_row(const MergeGeom* geom, std::size_t n,
+                       const ChildGrid& g, float shift1, float shift2,
+                       NearestIndexRow& out);
+
 /// Neville cubic at many positions over one fixed 4-node window:
 /// out[i] = neville4(y, t[i]).
 void neville4_many(const cf32 y[4], const float* t, cf32* out,

@@ -36,6 +36,7 @@ struct VAvx2 {
   static F cmp_gt(F a, F b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
   static F blend(F m, F a, F b) { return _mm256_blendv_ps(b, a, m); }
   static F and_(F a, F b) { return _mm256_and_ps(a, b); }
+  static F or_(F a, F b) { return _mm256_or_ps(a, b); }
   static F xor_(F a, F b) { return _mm256_xor_ps(a, b); }
   static I to_i(F a) { return _mm256_castps_si256(a); }
   static F to_f(I a) { return _mm256_castsi256_ps(a); }
@@ -105,6 +106,29 @@ struct VAvx2 {
     const F hi = _mm256_unpackhi_ps(re, im); // c2 c3 | c6 c7
     _mm256_storeu_ps(f, _mm256_permute2f128_ps(lo, hi, 0x20));
     _mm256_storeu_ps(f + 8, _mm256_permute2f128_ps(lo, hi, 0x31));
+  }
+  /// Eight MergeGeom records as component vectors: records k and k + 4
+  /// share a register, so the in-half 4x4 transposes leave every
+  /// component in element order.
+  static void load_geom(const MergeGeom* p, F& r1, F& t1, F& r2, F& t2) {
+    const float* f = reinterpret_cast<const float*>(p);
+    const auto pair = [f](int k) {
+      const __m128 lo = _mm_loadu_ps(f + 4 * k);
+      const __m128 hi = _mm_loadu_ps(f + 4 * (k + 4));
+      return _mm256_insertf128_ps(_mm256_castps128_ps256(lo), hi, 1);
+    };
+    const F a = pair(0);
+    const F b = pair(1);
+    const F c = pair(2);
+    const F d = pair(3);
+    const F ab_lo = _mm256_unpacklo_ps(a, b); // a.r1 b.r1 a.t1 b.t1 | ...
+    const F cd_lo = _mm256_unpacklo_ps(c, d);
+    const F ab_hi = _mm256_unpackhi_ps(a, b); // a.r2 b.r2 a.t2 b.t2 | ...
+    const F cd_hi = _mm256_unpackhi_ps(c, d);
+    r1 = _mm256_shuffle_ps(ab_lo, cd_lo, _MM_SHUFFLE(1, 0, 1, 0));
+    t1 = _mm256_shuffle_ps(ab_lo, cd_lo, _MM_SHUFFLE(3, 2, 3, 2));
+    r2 = _mm256_shuffle_ps(ab_hi, cd_hi, _MM_SHUFFLE(1, 0, 1, 0));
+    t2 = _mm256_shuffle_ps(ab_hi, cd_hi, _MM_SHUFFLE(3, 2, 3, 2));
   }
 };
 

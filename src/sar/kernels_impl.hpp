@@ -17,6 +17,10 @@ struct KernelTable {
   void (*merge_geometry_row)(float r0, float dr, std::size_t j0,
                              std::size_t n, float cr, float d2, float inv_2d,
                              MergeGeom* out);
+  void (*nearest_index_row)(const MergeGeom* geom, std::size_t n,
+                            const ChildGrid& g, float shift1, float shift2,
+                            std::int32_t* it1, std::int32_t* ir1,
+                            std::int32_t* it2, std::int32_t* ir2);
   void (*neville4_many)(const cf32* y, const float* t, cf32* out,
                         std::size_t n);
   void (*neville4_rows)(const cf32* row0, const cf32* row1, const cf32* row2,

@@ -21,6 +21,18 @@ void merge_geometry_row_scalar(float r0, float dr, std::size_t j0,
   }
 }
 
+void nearest_index_row_scalar(const MergeGeom* geom, std::size_t n,
+                              const ChildGrid& g, float shift1, float shift2,
+                              std::int32_t* it1, std::int32_t* ir1,
+                              std::int32_t* it2, std::int32_t* ir2) {
+  for (std::size_t i = 0; i < n; ++i) {
+    nearest_child_index(g, geom[i].r1 + shift1, geom[i].theta1, it1[i],
+                        ir1[i]);
+    nearest_child_index(g, geom[i].r2 + shift2, geom[i].theta2, it2[i],
+                        ir2[i]);
+  }
+}
+
 void neville4_many_scalar(const cf32* y, const float* t, cf32* out,
                           std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = neville4(y, t[i]);
@@ -60,8 +72,9 @@ void gbp_phase_row_scalar(const float* range, double k_phase, cf32* rot,
 
 const KernelTable* scalar_table() {
   static const KernelTable table{
-      merge_geometry_row_scalar, neville4_many_scalar, neville4_rows_scalar,
-      criterion_terms_scalar, gbp_contrib_row_scalar, gbp_phase_row_scalar};
+      merge_geometry_row_scalar, nearest_index_row_scalar,
+      neville4_many_scalar, neville4_rows_scalar, criterion_terms_scalar,
+      gbp_contrib_row_scalar, gbp_phase_row_scalar};
   return &table;
 }
 

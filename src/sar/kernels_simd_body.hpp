@@ -38,6 +38,9 @@
 
 #include "sar/kernels_impl.hpp"
 
+static_assert(sizeof(esarp::sar::MergeGeom) == 4 * sizeof(float),
+              "load_geom reads MergeGeom rows as packed float quadruples");
+
 // The scalar kernels handle the non-multiple-of-width tails.
 #include "sar/interp.hpp"
 
@@ -163,6 +166,52 @@ struct SimdKernels {
     for (; i < n; ++i) {
       const float r = r0 + static_cast<float>(j0 + i) * dr;
       out[i] = merge_geometry(r, cr, d2, inv_2d);
+    }
+  }
+
+  /// kernels::nearest_index_row: nearest_child_index's float validity test
+  /// as a lane mask, truncating conversions, and -1 (all bits set) OR-ed
+  /// into every invalid lane, so a NaN, infinite or huge coordinate never
+  /// leaves its conversion result in the output.
+  static void nearest_index_row(const MergeGeom* geom, std::size_t n,
+                                const ChildGrid& g, float shift1,
+                                float shift2, std::int32_t* it1,
+                                std::int32_t* ir1, std::int32_t* it2,
+                                std::int32_t* ir2) {
+    const F theta_start = V::set1(g.theta_start);
+    const F inv_dtheta = V::set1(g.inv_dtheta);
+    const F n_theta = V::set1(static_cast<float>(g.n_theta));
+    const F r0 = V::set1(g.r0);
+    const F inv_dr = V::set1(g.inv_dr);
+    const F n_range = V::set1(static_cast<float>(g.n_range));
+    const F half = V::set1(0.5f);
+    const F minus_half = V::set1(-0.5f);
+    const F all_ones = V::to_f(V::set1_i(-1));
+    const auto child = [&](F rc, F thc, std::int32_t* it, std::int32_t* ir) {
+      const F tf = V::mul(V::sub(thc, theta_start), inv_dtheta);
+      const F rf = V::mul(V::sub(rc, r0), inv_dr);
+      const F x = V::add(rf, half);
+      const F valid =
+          V::and_(V::and_(V::cmp_le(V::zero(), tf), V::cmp_lt(tf, n_theta)),
+                  V::and_(V::cmp_le(minus_half, rf), V::cmp_lt(x, n_range)));
+      const F invalid = V::xor_(valid, all_ones);
+      V::store_i(it, V::to_i(V::or_(V::to_f(V::cvt_i(tf)), invalid)));
+      V::store_i(ir, V::to_i(V::or_(V::to_f(V::cvt_i(x)), invalid)));
+    };
+    const F s1 = V::set1(shift1);
+    const F s2 = V::set1(shift2);
+    std::size_t i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+      F r1, th1, r2, th2;
+      V::load_geom(geom + i, r1, th1, r2, th2);
+      child(V::add(r1, s1), th1, it1 + i, ir1 + i);
+      child(V::add(r2, s2), th2, it2 + i, ir2 + i);
+    }
+    for (; i < n; ++i) {
+      nearest_child_index(g, geom[i].r1 + shift1, geom[i].theta1, it1[i],
+                          ir1[i]);
+      nearest_child_index(g, geom[i].r2 + shift2, geom[i].theta2, it2[i],
+                          ir2[i]);
     }
   }
 
@@ -430,9 +479,10 @@ struct SimdKernels {
   }
 
   static const KernelTable* table() {
-    static const KernelTable t{merge_geometry_row, neville4_many,
-                               neville4_rows, criterion_terms,
-                               gbp_contrib_row, gbp_phase_row};
+    static const KernelTable t{merge_geometry_row, nearest_index_row,
+                               neville4_many, neville4_rows,
+                               criterion_terms, gbp_contrib_row,
+                               gbp_phase_row};
     return &t;
   }
 };

@@ -35,6 +35,7 @@ struct VSse2 {
     return _mm_or_ps(_mm_and_ps(m, a), _mm_andnot_ps(m, b));
   }
   static F and_(F a, F b) { return _mm_and_ps(a, b); }
+  static F or_(F a, F b) { return _mm_or_ps(a, b); }
   static F xor_(F a, F b) { return _mm_xor_ps(a, b); }
   static I to_i(F a) { return _mm_castps_si128(a); }
   static F to_f(I a) { return _mm_castsi128_ps(a); }
@@ -96,6 +97,15 @@ struct VSse2 {
     float* f = reinterpret_cast<float*>(p);
     _mm_storeu_ps(f, _mm_unpacklo_ps(re, im));
     _mm_storeu_ps(f + 4, _mm_unpackhi_ps(re, im));
+  }
+  /// Four MergeGeom records as component vectors (a 4x4 transpose).
+  static void load_geom(const MergeGeom* p, F& r1, F& t1, F& r2, F& t2) {
+    const float* f = reinterpret_cast<const float*>(p);
+    r1 = _mm_loadu_ps(f);
+    t1 = _mm_loadu_ps(f + 4);
+    r2 = _mm_loadu_ps(f + 8);
+    t2 = _mm_loadu_ps(f + 12);
+    _MM_TRANSPOSE4_PS(r1, t1, r2, t2);
   }
 };
 

@@ -16,7 +16,20 @@
 // (eq. 5). The square roots, reciprocals and arccosines use the shared
 // fastmath implementations (the paper's "less compute-intensive
 // implementation of the square root", applied on both architectures).
+//
+// Sharing contract: a row of merge_geometry outputs depends only on the
+// parent theta row and the child half-spacing d (through cr, d2, inv_2d),
+// never on the pixel data or on which subaperture pair is merged. Callers
+// therefore compute a geometry row once and reuse it for every pair of a
+// level whose float d has the same bits: sar::merge_level keys its row on
+// d, and the chip kernels keep a per-level table indexed by theta row.
+// The per-pair flight-path shift is added to the row's ranges at sampling
+// time (merge_parent_row, kernels::nearest_index_row), so it never
+// invalidates a row.
 #pragma once
+
+#include <cstdint>
+#include <vector>
 
 #include "common/fastmath.hpp"
 #include "common/opcounts.hpp"
@@ -117,30 +130,72 @@ struct ChildGrid {
   cf32 rot_m2;        ///< e^{-2 i carrier_rad}
 };
 
+/// Child bin-coordinate tests, decided in float before any int conversion
+/// so that a NaN, infinite or huge coordinate can never become an index.
+/// `tf` is the angular bin coordinate, `rf` the range bin coordinate.
+inline bool in_sector(const ChildGrid& g, float tf) {
+  return tf >= 0.0f && tf < static_cast<float>(g.n_theta);
+}
+inline bool nearest_in_swath(const ChildGrid& g, float rf) {
+  return rf >= -0.5f && rf + 0.5f < static_cast<float>(g.n_range);
+}
+
+/// Nearest-neighbour child indices of one sample at child-relative polar
+/// position (rc, thc): `it` is the containing angular bin and `ir` the
+/// nearest range bin, or both are -1 when the sample is outside the sector
+/// or the swath and contributes zero. The scalar reference of
+/// kernels::nearest_index_row.
+inline void nearest_child_index(const ChildGrid& g, float rc, float thc,
+                                std::int32_t& it, std::int32_t& ir) {
+  const float tf = (thc - g.theta_start) * g.inv_dtheta;
+  const float rf = (rc - g.r0) * g.inv_dr;
+  const bool valid = in_sector(g, tf) && nearest_in_swath(g, rf);
+  it = valid ? static_cast<std::int32_t>(tf) : -1;
+  ir = valid ? static_cast<std::int32_t>(rf + 0.5f) : -1;
+}
+
+/// Nearest-neighbour child indices of one parent row: four contiguous
+/// planes of n entries (a structure of arrays, so the SIMD index kernel
+/// stores whole vectors), child 1 at (it1, ir1) and child 2 at (it2, ir2).
+struct NearestIndexRow {
+  explicit NearestIndexRow(std::size_t n_range)
+      : n(n_range), planes(4 * n_range) {}
+  std::size_t n;
+  std::vector<std::int32_t> planes; ///< it1 | ir1 | it2 | ir2
+  std::int32_t* it1() { return planes.data(); }
+  std::int32_t* ir1() { return planes.data() + n; }
+  std::int32_t* it2() { return planes.data() + 2 * n; }
+  std::int32_t* ir2() { return planes.data() + 3 * n; }
+};
+
 /// Sample one child image at child-relative polar position (rc, thc).
 /// `fetch(it, ir)` returns the child pixel at integer indices and is only
 /// invoked with it in [0, n_theta) and ir in [0, n_range). Out-of-sector /
 /// out-of-swath positions contribute zero (the paper's "skip the additions
-/// with zero when the indices are out of range").
+/// with zero when the indices are out of range"), and so do NaN, infinite
+/// and huge positions: validity is decided before the int conversions.
 ///
 /// This template is the single definition of the merge arithmetic: the
 /// sequential host reference and the simulated Epiphany kernels instantiate
-/// it with different fetchers but produce bit-identical pixels.
+/// it with different fetchers but produce bit-identical pixels. Their plain
+/// nearest-neighbour rows take the split path instead
+/// (kernels::nearest_index_row, then a gather), whose indices are those of
+/// the kNearest case below.
 template <typename Fetch>
 inline cf32 sample_child(const ChildGrid& g, float rc, float thc,
                          Interp interp, bool phase_compensate,
                          Fetch&& fetch) {
   namespace fm = esarp::fastmath;
   const float tf = (thc - g.theta_start) * g.inv_dtheta;
+  if (!in_sector(g, tf)) return {};
   const int it = static_cast<int>(tf); // containing angular bin
-  if (tf < 0.0f || it >= g.n_theta) return {};
   const float rf = (rc - g.r0) * g.inv_dr;
 
   cf32 v{};
   switch (interp) {
     case Interp::kNearest: {
+      if (!nearest_in_swath(g, rf)) return {};
       const int ir = static_cast<int>(rf + 0.5f);
-      if (rf < -0.5f || ir < 0 || ir >= g.n_range) return {};
       v = fetch(it, ir);
       if (phase_compensate) {
         // Residual range phase between the exact range and the bin grid.
@@ -152,8 +207,8 @@ inline cf32 sample_child(const ChildGrid& g, float rc, float thc,
       break;
     }
     case Interp::kLinear: {
+      if (!(rf >= 0.0f && rf < static_cast<float>(g.n_range - 1))) return {};
       const int ir = static_cast<int>(rf);
-      if (rf < 0.0f || ir + 1 >= g.n_range) return {};
       const float t = rf - static_cast<float>(ir);
       // Carrier-aware: de-reference the second node to bin ir's carrier
       // phase, interpolate the now-smooth signal, then restore the
@@ -166,8 +221,9 @@ inline cf32 sample_child(const ChildGrid& g, float rc, float thc,
       break;
     }
     case Interp::kCubic: {
+      // Nodes ir-1 .. ir+2 must all lie in the swath.
+      if (!(rf >= 1.0f && rf < static_cast<float>(g.n_range - 2))) return {};
       const int ir = static_cast<int>(rf);
-      if (rf < 1.0f || ir + 2 >= g.n_range || ir < 1) return {};
       const float t = rf - static_cast<float>(ir) + 1.0f; // node offset
       // Carrier-aware Neville: nodes de-referenced to bin ir (node 1).
       const cf32 y[4] = {fetch(it, ir - 1) * g.rot_p1, fetch(it, ir),

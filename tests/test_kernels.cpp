@@ -4,6 +4,7 @@
 // validity edge cases. Comparison is on the float bit patterns, not on a
 // tolerance — the SIMD backends are only allowed to exist because they
 // change nothing.
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -12,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fastmath.hpp"
 #include "common/types.hpp"
+#include "sar/ffbp.hpp"
 #include "sar/kernels.hpp"
 #include "sar/kernels_impl.hpp"
 #include "sar/params.hpp"
@@ -396,6 +399,129 @@ TEST(Kernels, GbpContribRowFallsBackForHugeAndNonFiniteWavenumbers) {
       for (std::size_t i = 0; i < px.size(); ++i)
         expect_bits_eq(ref[i], simd[i], "gbp_contrib_row", i);
     });
+  }
+}
+
+/// nearest_index_row of the scalar backend and of every SIMD backend on
+/// the same inputs; returns the number of mismatching entries per backend.
+std::size_t nearest_index_mismatches(const std::vector<MergeGeom>& geom,
+                                     const ChildGrid& g, float shift1,
+                                     float shift2, NearestIndexRow& ref,
+                                     NearestIndexRow& simd) {
+  const std::size_t n = geom.size();
+  k::force_backend(k::Backend::kScalar);
+  k::nearest_index_row(geom.data(), n, g, shift1, shift2, ref);
+  std::size_t mismatches = 0;
+  for (const k::Backend b : simd_backends()) {
+    k::force_backend(b);
+    k::nearest_index_row(geom.data(), n, g, shift1, shift2, simd);
+    for (std::size_t plane = 0; plane < 4; ++plane)
+      for (std::size_t i = 0; i < n; ++i)
+        if (ref.planes[plane * ref.n + i] !=
+                simd.planes[plane * simd.n + i] &&
+            mismatches++ == 0)
+          ADD_FAILURE() << k::backend_name(b) << ": plane " << plane
+                        << " entry " << i;
+  }
+  return mismatches;
+}
+
+/// Every range bin of every parent theta row of every merge level of `p`,
+/// with and without a per-pair shift: each SIMD backend's indices must equal
+/// the scalar ones. Returns {valid, invalid} child samples seen.
+std::pair<std::size_t, std::size_t> check_every_swath_index(
+    const RadarParams& p) {
+  const k::Backend before = k::active();
+  const float r0 = static_cast<float>(p.near_range_m);
+  const float dr = static_cast<float>(p.range_bin_m);
+  std::vector<MergeGeom> geom(p.n_range);
+  NearestIndexRow ref(p.n_range), simd(p.n_range);
+  std::size_t mismatches = 0, valid = 0, invalid = 0;
+  for (std::size_t level = 1; level <= p.merge_levels(); ++level) {
+    const MergeLevelGeom lg = merge_level_geom(p, level);
+    for (std::size_t ti = 0; ti < lg.n_theta_parent; ++ti) {
+      const float cr =
+          2.0f * lg.d * fastmath::poly_cos(lg.theta_of_row(p, ti));
+      k::force_backend(k::Backend::kScalar);
+      k::merge_geometry_row(r0, dr, 0, p.n_range, cr, lg.d2, lg.inv_2d,
+                            geom.data());
+      for (const float shift_bins : {0.0f, 2.37f}) {
+        mismatches +=
+            nearest_index_mismatches(geom, lg.child, -0.5f * shift_bins * dr,
+                                     0.5f * shift_bins * dr, ref, simd);
+        for (std::size_t i = 0; i < p.n_range; ++i) {
+          (ref.it1()[i] >= 0 ? valid : invalid) += 1;
+          (ref.it2()[i] >= 0 ? valid : invalid) += 1;
+        }
+      }
+    }
+  }
+  k::force_backend(before);
+  EXPECT_EQ(mismatches, 0u);
+  return {valid, invalid};
+}
+
+TEST(Kernels, NearestIndexRowMatchesScalarOnEveryBinOfTheTestSwath) {
+  const auto [valid, invalid] =
+      check_every_swath_index(test_params(256, 251));
+  // Both outcomes occur, so both lane paths were compared.
+  EXPECT_GT(valid, 0u);
+  EXPECT_GT(invalid, 0u);
+}
+
+TEST(Kernels, NearestIndexRowMatchesScalarOnEveryBinOfThePaperSwath) {
+  const auto [valid, invalid] = check_every_swath_index(paper_params());
+  EXPECT_GT(valid, 0u);
+  EXPECT_GT(invalid, 0u);
+}
+
+TEST(Kernels, NearestIndexRowGuardLanesAreInvalidInEveryBackend) {
+  // 19 entries: two full vector quanta in either SIMD backend, then a
+  // scalar tail of 3. Guard values sit inside the first full vector and in
+  // the tail, in the range and in the angle of either child.
+  const RadarParams p = test_params(64, 101);
+  const MergeLevelGeom lg = merge_level_geom(p, 3);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float r_mid =
+      static_cast<float>(p.near_range_m + 50.0 * p.range_bin_m);
+  const float th_mid = static_cast<float>(p.theta_center_rad);
+  std::vector<MergeGeom> geom(19, MergeGeom{r_mid, th_mid, r_mid, th_mid});
+  geom[1].r1 = nan;
+  geom[2].theta1 = inf;
+  geom[3].r2 = -inf;
+  geom[4].theta2 = 1e30f;
+  geom[5].r1 = 1e30f;
+  geom[6].r2 = -1e30f;
+  geom[16].theta1 = nan;
+  geom[17].r1 = inf;
+  geom[18].r2 = 1e30f;
+  const std::vector<std::size_t> guard1 = {1, 2, 5, 16, 17};
+  const std::vector<std::size_t> guard2 = {3, 4, 6, 18};
+
+  NearestIndexRow ref(geom.size()), simd(geom.size());
+  const k::Backend before = k::active();
+  EXPECT_EQ(nearest_index_mismatches(geom, lg.child, 0.0f, 0.0f, ref, simd),
+            0u);
+  k::force_backend(before);
+  const auto guarded = [](const std::vector<std::size_t>& g, std::size_t i) {
+    return std::find(g.begin(), g.end(), i) != g.end();
+  };
+  for (std::size_t i = 0; i < geom.size(); ++i) {
+    EXPECT_EQ(ref.it1()[i] < 0, guarded(guard1, i)) << "child 1 entry " << i;
+    EXPECT_EQ(ref.it2()[i] < 0, guarded(guard2, i)) << "child 2 entry " << i;
+    // it and ir are -1 together.
+    EXPECT_EQ(ref.ir1()[i] < 0, ref.it1()[i] < 0) << i;
+    EXPECT_EQ(ref.ir2()[i] < 0, ref.it2()[i] < 0) << i;
+  }
+
+  // A non-finite per-pair shift invalidates that child's whole row.
+  EXPECT_EQ(nearest_index_mismatches(geom, lg.child, nan, inf, ref, simd),
+            0u);
+  k::force_backend(before);
+  for (std::size_t i = 0; i < geom.size(); ++i) {
+    EXPECT_EQ(ref.it1()[i], -1) << i;
+    EXPECT_EQ(ref.it2()[i], -1) << i;
   }
 }
 

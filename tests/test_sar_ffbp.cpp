@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "common/stats.hpp"
 #include "sar/ffbp.hpp"
@@ -238,6 +240,109 @@ TEST(Ffbp, MergeLevelGeomMatchesMergePairConstants) {
     EXPECT_FLOAT_EQ(g.d, static_cast<float>(0.5 * child_span));
     EXPECT_EQ(g.n_theta_parent, std::size_t{1} << level);
     EXPECT_EQ(g.child.n_theta, static_cast<int>(g.n_theta_parent / 2));
+  }
+}
+
+/// A recorded track: every pulse displaced along track by its own amount,
+/// so every subaperture pair of every level has its own child spacing.
+FlightPathError wobbly_track(const RadarParams& p) {
+  FlightPathError track;
+  track.dx.resize(p.n_pulses);
+  for (std::size_t i = 0; i < p.n_pulses; ++i)
+    track.dx[i] = 0.03 * std::sin(0.7 * static_cast<double>(i)) +
+                  0.001 * static_cast<double>(i % 5);
+  return track;
+}
+
+TEST(Ffbp, RecordedTrackMatchesHandChainedMergePairsBitForBit) {
+  // merge_level reuses a geometry row only while the pair's float d has
+  // the same bits; on this track the pairs' d differ, so every pair must
+  // get its own geometry, exactly as chained merge_pair calls compute it.
+  RadarParams p = test_params(32, 101);
+  const FlightPathError track = wobbly_track(p);
+  const auto data = simulate_compressed(p, six_target_scene(p), track);
+  const auto res = ffbp(data, p, {}, &track);
+
+  auto subs = initial_subapertures(data, p, &track);
+  std::size_t distinct_d_levels = 0;
+  while (subs.size() > 1) {
+    std::vector<SubapertureImage> next;
+    std::vector<float> d;
+    for (std::size_t i = 0; i + 1 < subs.size(); i += 2) {
+      next.push_back(merge_pair(subs[i], subs[i + 1], p, {}));
+      d.push_back(static_cast<float>(
+          0.5 * (subs[i + 1].x_center - subs[i].x_center)));
+    }
+    if (d.size() > 1 && d[0] != d[1]) ++distinct_d_levels;
+    subs = std::move(next);
+  }
+  EXPECT_GT(distinct_d_levels, 0u);
+  EXPECT_EQ(res.image.data, subs.front().data);
+  EXPECT_DOUBLE_EQ(res.image.x_center, subs.front().x_center);
+}
+
+TEST(Ffbp, MergeLevelWithShiftsMatchesCompensatedPairs) {
+  // Per-pair flight-path shifts ride on a geometry row shared by the
+  // whole level (nominal track), for every interpolation kernel.
+  RadarParams p = test_params(16, 51);
+  const auto data = simulate_compressed(p, six_target_scene(p));
+  const auto l0 = initial_subapertures(data, p);
+  const auto l1 = merge_level(l0, p, {});
+  const std::vector<float> shifts = {0.0f, 1.5f, -0.75f, 3.0f};
+  for (const Interp interp :
+       {Interp::kNearest, Interp::kLinear, Interp::kCubic}) {
+    FfbpOptions opt;
+    opt.interp = interp;
+    OpCounts level_ops;
+    OpCounts pair_ops;
+    const auto l2 = merge_level(l1, p, opt, shifts, &level_ops);
+    ASSERT_EQ(l2.size(), shifts.size());
+    for (std::size_t k = 0; k < shifts.size(); ++k) {
+      const auto one = merge_pair_compensated(l1[2 * k], l1[2 * k + 1], p,
+                                              opt, shifts[k], &pair_ops);
+      EXPECT_EQ(l2[k].data, one.data) << "pair " << k;
+    }
+    EXPECT_EQ(level_ops, pair_ops);
+  }
+}
+
+TEST(SampleChild, GuardValuesContributeZeroWithoutFetching) {
+  // A NaN, infinite or huge position must be rejected in float, before
+  // any int conversion could turn it into an index.
+  const RadarParams p = test_params(16, 51);
+  const ChildGrid g = make_child_grid(p, 4);
+  const float r_ok =
+      static_cast<float>(p.near_range_m + 20.0 * p.range_bin_m);
+  const float th_ok = static_cast<float>(p.theta_center_rad);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::size_t fetches = 0;
+  const auto fetch = [&](int, int) {
+    ++fetches;
+    return cf32{1.0f, 1.0f};
+  };
+  struct Variant {
+    Interp interp;
+    bool phase_compensate;
+  };
+  for (const Variant v : {Variant{Interp::kNearest, false},
+                          Variant{Interp::kNearest, true},
+                          Variant{Interp::kLinear, false},
+                          Variant{Interp::kCubic, false}}) {
+    SCOPED_TRACE(static_cast<int>(v.interp));
+    // Control: the in-range position does fetch.
+    (void)sample_child(g, r_ok, th_ok, v.interp, v.phase_compensate, fetch);
+    EXPECT_GT(fetches, 0u);
+    fetches = 0;
+    for (const float guard : {nan, inf, -inf, 1e30f, -1e30f}) {
+      const cf32 by_range =
+          sample_child(g, guard, th_ok, v.interp, v.phase_compensate, fetch);
+      const cf32 by_angle =
+          sample_child(g, r_ok, guard, v.interp, v.phase_compensate, fetch);
+      EXPECT_EQ(by_range, cf32{}) << "range " << guard;
+      EXPECT_EQ(by_angle, cf32{}) << "angle " << guard;
+    }
+    EXPECT_EQ(fetches, 0u);
   }
 }
 

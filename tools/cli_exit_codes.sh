@@ -94,6 +94,16 @@ expect 2 "$esarp" lint --mapping no-such-mapping
 # with the distinct findings code.
 expect 6 "$esarp" lint --mapping ffbp-db --pulses 32 --range 1001
 
+# Every subcommand rejects a flag it does not know (here misspelt) with a
+# usage error instead of silently running with the default.
+expect 2 "$esarp" simulate --out "$ds" --pulses 32 --range 65 --pulse 64
+expect 2 "$esarp" image --in "$ds" --out "$scratch/cli_exit_codes.pgm" \
+  --interpolation cubic
+expect 2 "$esarp" chip --in "$ds" --cores 4 --no-prefech
+expect 2 "$esarp" chaos --in "$ds" --cores 4 --dma-corrupt 1e-3 --sede 7
+expect 2 "$esarp" lint --mapping gbp --no-such-flag 3
+expect 2 "$esarp" report --in "$ds" --verbose
+
 if [ "$fails" -gt 0 ]; then
   echo "cli_exit_codes: $fails check(s) failed" >&2
   exit 1

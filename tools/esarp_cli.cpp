@@ -25,8 +25,8 @@
 // scheduler (docs/static-analysis.md). `serve` replays an arrival trace
 // through the multi-chip fleet runtime and writes an
 // esarp-serve-manifest/3 (docs/serving.md); overload control (EDF
-// dispatch, admission shedding) is configured per campaign, and a flag
-// `serve` does not know is a usage error. A fleet that cannot finish
+// dispatch, admission shedding) is configured per campaign. A flag the
+// subcommand does not know is a usage error. A fleet that cannot finish
 // every job (all chips dead, or a job out of retries at max degradation)
 // exits 5 like any other unrecovered fault.
 //
@@ -892,14 +892,6 @@ int serve_usage_error(const std::string& msg) {
 }
 
 int cmd_serve(const Args& args) {
-  const std::string unknown = args.unknown_flag(
-      {"trace", "gen", "jobs-count", "rate", "burst-mean", "pulses", "range",
-       "cores", "algo", "deadline", "priority-mix", "deadline-jitter",
-       "trace-out", "chips", "seed", "chip-kill", "dma-corrupt", "dma-drop",
-       "noc-stall", "membits", "retry-max", "degrade-max", "backoff",
-       "timeout-factor", "jobs", "dispatch", "shed", "shed-factor",
-       "shed-priority", "metrics"});
-  if (!unknown.empty()) return serve_usage_error("unknown flag --" + unknown);
   const std::string trace_path = args.str("trace");
   const std::string gen = args.str("gen");
   if (args.has("trace") && trace_path.empty()) return usage();
@@ -1080,6 +1072,45 @@ int cmd_serve(const Args& args) {
   return kExitOk;
 }
 
+/// First flag `cmd` does not read, or empty. Every subcommand rejects the
+/// flags it does not know with exit 2, so a misspelt flag can never fall
+/// back to its default silently. Unknown commands are left to main.
+std::string unknown_flag_of(const std::string& cmd, const Args& args) {
+  if (cmd == "simulate")
+    return args.unknown_flag(
+        {"out", "pulses", "range", "paper", "targets", "noise", "seed"});
+  if (cmd == "image")
+    return args.unknown_flag(
+        {"in", "out", "algo", "interp", "autofocus", "looks"});
+  if (cmd == "chip")
+    return args.unknown_flag({"in", "cores", "jobs", "no-prefetch",
+                              "autofocus", "out", "trace", "metrics",
+                              "check"});
+  if (cmd == "power")
+    return args.unknown_flag({"in", "cores", "epoch", "no-prefetch",
+                              "autofocus", "csv", "heatmap", "trace",
+                              "metrics"});
+  if (cmd == "chaos")
+    return args.unknown_flag({"in", "cores", "seed", "dma-corrupt",
+                              "dma-drop", "noc-stall", "membits", "fail",
+                              "no-resilience", "autofocus", "pairs",
+                              "metrics", "max-cycles", "check"});
+  if (cmd == "analyze" || cmd == "report") return args.unknown_flag({"in"});
+  if (cmd == "lint")
+    return args.unknown_flag({"mapping", "pulses", "range", "cores", "pairs",
+                              "no-prefetch", "double-buffer", "json",
+                              "validate"});
+  if (cmd == "serve")
+    return args.unknown_flag(
+        {"trace", "gen", "jobs-count", "rate", "burst-mean", "pulses",
+         "range", "cores", "algo", "deadline", "priority-mix",
+         "deadline-jitter", "trace-out", "chips", "seed", "chip-kill",
+         "dma-corrupt", "dma-drop", "noc-stall", "membits", "retry-max",
+         "degrade-max", "backoff", "timeout-factor", "jobs", "dispatch",
+         "shed", "shed-factor", "shed-priority", "metrics"});
+  return "";
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
@@ -1087,6 +1118,10 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   const Args args(argc, argv);
   if (!args.ok()) return usage();
+  if (const std::string flag = unknown_flag_of(cmd, args); !flag.empty()) {
+    std::cerr << cmd << ": unknown flag --" << flag << "\n";
+    return usage();
+  }
   // Catch order matters: the most specific (most actionable) types first.
   // FaultUnrecovered and SimDeadlock are runtime_errors; ContractViolation
   // (which WatchdogExpired derives from) is a logic_error.
